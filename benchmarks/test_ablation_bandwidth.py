@@ -11,7 +11,7 @@ import pytest
 from conftest import record_report
 from repro.bench.harness import MigrationExperiment, TestbedConfig
 from repro.bench.reporting import format_kv_table
-from repro.bench.workloads import BANDWIDTH_SWEEP_MBPS, mb
+from repro.city.params import BANDWIDTH_SWEEP_MBPS, mb
 from repro.core import BindingPolicy
 
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import record_report
 from repro.bench.harness import clone_dispatch_experiment
 from repro.bench.reporting import format_kv_table
-from repro.bench.workloads import CLONE_FANOUTS
+from repro.city.params import CLONE_FANOUTS
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import pytest
 from conftest import record_report
 from repro.apps.music_player import MusicPlayerApp
 from repro.bench.reporting import format_kv_table
-from repro.bench.workloads import PAPER_FILE_SIZES_MB, mb
+from repro.city.params import PAPER_FILE_SIZES_MB, mb
 from repro.core import Deployment, UserProfile
 
 

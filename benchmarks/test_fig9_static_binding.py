@@ -12,7 +12,7 @@ import pytest
 from conftest import record_report
 from repro.bench.harness import MigrationExperiment
 from repro.bench.reporting import format_phase_table
-from repro.bench.workloads import PAPER_FILE_SIZES_MB, mb
+from repro.city.params import PAPER_FILE_SIZES_MB, mb
 from repro.core import BindingPolicy
 
 

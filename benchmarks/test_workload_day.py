@@ -4,9 +4,9 @@ The paper measures single migrations; this workload answers the
 deployment question at neighbourhood scale: with a seeded commuter
 population flowing home -> transit -> office -> home through the
 middleware, does every follow-me application keep running, and what does
-the churn cost?  The generator is :mod:`repro.city` -- the same one the
-``city`` bench scenario and ``python -m repro city`` drive at 200..2,000
-spaces; here it runs at sizes a benchmark round can afford.
+the churn cost?  The generator is :mod:`repro.city` -- the same one
+``python -m repro city`` drives at 200..2,000 spaces; here it runs at
+sizes a benchmark round can afford.
 """
 
 import pytest

@@ -6,7 +6,6 @@ Commands:
 - ``sweep``           run the Fig. 8/9/10 file-size sweep and print tables
 - ``lecture``         run the clone-dispatch lecture scenario
 - ``simcheck``        fuzz seeded scenarios under runtime invariant checks
-- ``bench``           run the standing perf scenarios, write BENCH_*.json
 - ``city``            run a city-scale commuter day (see docs/WORKLOADS.md)
 - ``version``         print the library version
 """
@@ -150,7 +149,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.harness import MigrationExperiment
     from repro.bench.reporting import format_comparison_table, format_phase_table
-    from repro.bench.workloads import PAPER_FILE_SIZES_MB
+    from repro.city.params import PAPER_FILE_SIZES_MB
     from repro.core import BindingPolicy
 
     obs = _make_obs(args)
@@ -289,87 +288,6 @@ def cmd_simcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.trajectory import (
-        SCENARIOS,
-        bench_path,
-        compare_bench,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-    from repro.obs.slo import SLOReport
-
-    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    regressions = 0
-    drifts = 0
-    for name in names:
-        record = run_bench(name, quick=args.quick)
-        metrics = record["metrics"]
-        print(f"== {name} ({record['mode']}) ==")
-        print(f"  events          : {metrics['events']:,}")
-        print(f"  events/sec      : {metrics['events_per_sec']:,.0f}")
-        print(f"  sim speed       : {metrics['sim_s_per_wall_s']:,.1f} "
-              f"sim-s / wall-s")
-        if metrics["peak_rss_bytes"] is not None:
-            print(f"  peak RSS        : "
-                  f"{metrics['peak_rss_bytes'] / 1e6:.1f} MB")
-        print(f"  sim digest      : {record['sim_digest'][:16]}...")
-        if record["slo"] is not None and args.slo:
-            slo = record["slo"]
-            print()
-            print(SLOReport(
-                window_ms=slo["window_ms"],
-                sim_time_ms=slo["sim_time_ms"],
-                migrations_total=slo["migrations"]["total"],
-                migrations_completed=slo["migrations"]["completed"],
-                migrations_failed=slo["migrations"]["failed"],
-                latency_ms=slo["latency_ms"],
-                deadline_total=slo["deadlines"]["total"],
-                deadline_misses=slo["deadlines"]["misses"],
-                prestage_pushes=slo["prestage"]["pushes"],
-                prestage_hits=slo["prestage"]["hits"],
-                link_utilization=slo["link_utilization"],
-                retries=slo["retries"],
-                queue=slo["queue"],
-            ).render(f"fleet SLO report ({name})"))
-            print()
-        if args.check:
-            baseline_path = bench_path(name, args.baseline_dir)
-            try:
-                baseline = load_bench(baseline_path)
-            except (OSError, ValueError) as exc:
-                print(f"  no usable baseline ({exc}); skipping comparison")
-            else:
-                comparison = compare_bench(baseline, record,
-                                           threshold=args.threshold)
-                print(f"  {comparison.summary()}")
-                if comparison.digest_drift:
-                    drifts += 1
-                    # Hard failure: behaviour changed at identical params,
-                    # which no machine difference can explain.  Either the
-                    # change is intended (re-baseline with
-                    # ``python -m repro bench``) or it is a determinism bug.
-                    print(f"::error title=bench digest drift::"
-                          f"{name}: sim digest changed at identical params "
-                          f"-- scenario behaviour drifted; re-baseline if "
-                          f"intended")
-                if comparison.regressed:
-                    regressions += 1
-                    # Soft failure: a GitHub Actions warning annotation,
-                    # exit code stays 0 (wall clock is machine-relative).
-                    print(f"::warning title=bench regression::"
-                          f"{name}: events/sec at {comparison.ratio:.0%} "
-                          f"of the committed baseline")
-        if not args.no_write:
-            path = write_bench(record, args.out_dir)
-            print(f"  wrote {path}")
-    if args.check:
-        print(f"{len(names)} scenario(s), {regressions} regression "
-              f"warning(s), {drifts} digest drift(s)")
-    return 1 if drifts else 0
-
-
 def cmd_city(args: argparse.Namespace) -> int:
     import json
 
@@ -491,33 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     simcheck.add_argument("--sabotage", default=None,
                           help=argparse.SUPPRESS)
     simcheck.set_defaults(func=cmd_simcheck)
-    bench = sub.add_parser(
-        "bench",
-        help="run the standing perf scenarios and write BENCH_*.json")
-    bench.add_argument("--scenario", default="all",
-                       choices=["all", "scale", "transfer_window",
-                                "workload_day", "city", "registry"],
-                       help="which standing scenario to run (default all)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller parameter sets for CI smoke runs")
-    bench.add_argument("--out-dir", metavar="DIR", default=".",
-                       help="where BENCH_*.json files are written "
-                            "(default: current directory)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="run and report without writing BENCH files")
-    bench.add_argument("--check", action="store_true",
-                       help="compare events/sec against the committed "
-                            "baselines; prints a warning annotation on "
-                            "regression but still exits 0")
-    bench.add_argument("--baseline-dir", metavar="DIR", default=".",
-                       help="where committed baselines live (default: "
-                            "current directory)")
-    bench.add_argument("--threshold", type=float, default=0.20,
-                       help="relative events/sec drop that counts as a "
-                            "regression (default 0.20)")
-    bench.add_argument("--slo", action="store_true",
-                       help="also print each scenario's fleet SLO report")
-    bench.set_defaults(func=cmd_bench)
     city = sub.add_parser(
         "city",
         help="run a city-scale commuter day through the middleware")

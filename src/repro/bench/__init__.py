@@ -4,10 +4,6 @@
   experiment runner.
 - :mod:`repro.bench.scale` -- concurrent-migration and multi-space scale
   benchmarks for the fair-share link model.
-- :mod:`repro.bench.workloads` -- the paper's file-size sweep and scenario
-  parameters.
-- :mod:`repro.bench.trajectory` -- standing scenarios emitting the
-  schema-versioned ``BENCH_*.json`` perf-trajectory snapshots.
 - :mod:`repro.bench.reporting` -- figure-style series tables.
 """
 
@@ -26,39 +22,21 @@ from repro.bench.scale import (
     concurrent_migration_experiment,
     scale_benchmark,
 )
-from repro.bench.trajectory import (
-    BENCH_FORMAT,
-    BenchComparison,
-    SCENARIOS,
-    bench_path,
-    compare_bench,
-    load_bench,
-    run_bench,
-    write_bench,
-)
-from repro.bench.workloads import PAPER_FILE_SIZES_MB, mb
+from repro.city.params import PAPER_FILE_SIZES_MB, mb
 
 __all__ = [
-    "BENCH_FORMAT",
-    "BenchComparison",
     "ConcurrentMigrationResult",
     "MigrationExperiment",
     "PAPER_FILE_SIZES_MB",
-    "SCENARIOS",
     "ScaleResult",
     "SweepRow",
     "TestbedConfig",
-    "bench_path",
     "build_paper_testbed",
     "clone_dispatch_experiment",
-    "compare_bench",
     "concurrent_migration_experiment",
     "format_comparison_table",
     "format_phase_table",
-    "load_bench",
     "mb",
     "round_trip_experiment",
-    "run_bench",
     "scale_benchmark",
-    "write_bench",
 ]

@@ -12,14 +12,12 @@ transfers.  These experiments measure what the contention rework buys:
   migration with the wire time of another.
 - :func:`scale_benchmark` -- a deployment of ≥50 hosts and ≥200 running
   applications driving many concurrent migration legs through the
-  :class:`~repro.core.middleware.MigrationScheduler`, recording real
-  wall-clock, simulated makespan and per-class link utilization from each
-  link's ``class_busy_ms`` ledger.
+  :class:`~repro.core.middleware.MigrationScheduler`, recording the
+  simulated makespan and per-class link utilization (``class_busy_ms``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -143,8 +141,6 @@ class ScaleResult:
     applications: int
     legs: int
     admission_limit: int
-    #: Real (not simulated) seconds the run took.
-    wall_clock_s: float
     #: Simulated makespan of the migration wave.
     sim_makespan_ms: float
     completed: int
@@ -164,8 +160,7 @@ class ScaleResult:
                          sorted(self.peak_link_utilization.items()))
         return (f"{self.hosts} hosts / {self.applications} apps: "
                 f"{self.completed}/{self.legs} legs in "
-                f"{self.sim_makespan_ms:.0f} sim-ms "
-                f"({self.wall_clock_s:.1f} s real), peak link util {util}")
+                f"{self.sim_makespan_ms:.0f} sim-ms, peak link util {util}")
 
 
 def scale_benchmark(spaces: int = 10,
@@ -233,7 +228,6 @@ def scale_benchmark(spaces: int = 10,
         d.middleware(source).prestage(app_name, target)
     d.run_all()
 
-    clock_start = time.perf_counter()
     sim_start = d.loop.now
     submitted = 0
     for i in range(legs):
@@ -242,7 +236,6 @@ def scale_benchmark(spaces: int = 10,
         submitted += 1
     d.run_all()
     makespan = d.loop.now - sim_start
-    wall = time.perf_counter() - clock_start
     class_totals: Dict[str, float] = {CONTROL: 0.0, BULK: 0.0}
     peak: Dict[str, float] = {CONTROL: 0.0, BULK: 0.0}
     for link in d.network.links:
@@ -256,7 +249,6 @@ def scale_benchmark(spaces: int = 10,
         applications=app_count,
         legs=submitted,
         admission_limit=admission_limit,
-        wall_clock_s=wall,
         sim_makespan_ms=makespan,
         completed=scheduler.completed,
         rejected=scheduler.rejected,

@@ -18,8 +18,7 @@ part of that gap:
   :mod:`repro.simcheck` scenarios so the shrinker can minimize
   city-scale failures into replayable artifacts.
 
-Entry points: ``python -m repro city`` and the ``city`` scenario of
-``python -m repro bench``.
+Entry point: ``python -m repro city``.
 """
 
 from repro.city.params import (

@@ -1,10 +1,4 @@
-"""Workload parameters: the paper's sweep constants and the city tiers.
-
-This module absorbs the old ``repro.bench.workloads`` stub (which
-``repro.bench.workloads`` now re-exports for backward compatibility) and
-adds the scale tiers of the city generator -- the knob the roadmap's
-"million commuters" arc turns.
-"""
+"""Workload parameters: the paper's sweep constants and the city tiers."""
 
 from __future__ import annotations
 
@@ -37,10 +31,8 @@ class CityTier:
         return f"{self.name} ({self.spaces} spaces / {self.users} users)"
 
 
-#: The standing scale tiers.  ``smoke`` is the CI --quick smoke point,
-#: ``quick`` is the standing heavy-traffic benchmark (BENCH_city.json and
-#: the city-smoke CI job), ``full`` is the streaming-runner scale-out
-#: target -- too big to materialize a schedule for, which is the point.
+#: The standing scale tiers: ``smoke`` (CLI ``--quick``), ``quick`` (heavy
+#: traffic) and ``full`` (streaming scale-out, too big to materialize).
 CITY_TIERS = {
     "smoke": CityTier("smoke", spaces=40, users=300),
     "quick": CityTier("quick", spaces=200, users=2_000),

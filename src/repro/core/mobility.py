@@ -125,7 +125,7 @@ class MobilityManager:
     Those methods are the monolith's historical timer targets: the kernel
     records every dispatched callback's qualified name in the trace, so
     keeping the names -- as one-line continuations into the pipeline --
-    keeps the pinned bench/golden digests byte-identical.
+    keeps the golden and pinned scenario digests byte-identical.
     """
 
     def __init__(self, middleware: "MDAgentMiddleware",

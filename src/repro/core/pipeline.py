@@ -14,7 +14,7 @@ The default ("direct") stack reproduces the classic monolithic behaviour
 event-for-event: phase hand-offs reuse the exact timer callbacks the
 monolith scheduled (``MobilityManager._wrap_and_send`` and friends are
 now thin continuations), so kernel traces -- and therefore the pinned
-bench and golden digests -- stay byte-identical.
+sim and golden digests -- stay byte-identical.
 
 The "fipa" stack inserts a pre-transfer ``propose/accept/reject``
 capability negotiation over ACL (platform kind, serialization version,

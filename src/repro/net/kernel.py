@@ -315,8 +315,7 @@ class EventLoop:
             callback(*timer.args)
         if hooks:
             # Post-dispatch checkpoint for runtime invariant checkers
-            # (repro.simcheck) and the wall-clock profiler
-            # (repro.obs.perf): state has settled for this instant.
+            # (repro.simcheck): state has settled for this instant.
             # ``depth`` counts raw queue entries (cancelled tombstones
             # included) so the read stays O(1).
             obs.emit("kernel.event", now=self._now, callback=name,

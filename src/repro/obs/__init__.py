@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     percentile,
 )
-from repro.obs.perf import KernelProfiler, ProfileReport, peak_rss_bytes
 from repro.obs.slo import SLO_FORMAT, SLOAggregator, SLOReport
 from repro.obs.tracer import NULL_SPAN, EventRecord, Span, Tracer
 
@@ -44,11 +43,9 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "KernelProfiler",
     "MetricsRegistry",
     "NULL_SPAN",
     "Observability",
-    "ProfileReport",
     "SLO_FORMAT",
     "SLOAggregator",
     "SLOReport",
@@ -57,7 +54,6 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl",
     "jsonl_records",
-    "peak_rss_bytes",
     "percentile",
     "render_dashboard",
     "to_chrome_trace",

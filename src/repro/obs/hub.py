@@ -43,7 +43,7 @@ class Observability:
     def __init__(self, enabled: bool = True, trace: bool = True):
         self.enabled = enabled
         #: ``trace=False`` keeps the hub (metrics + hooks) live but records
-        #: no spans/events -- the lightweight mode profiling and SLO
+        #: no spans/events -- the lightweight mode digest pinning and SLO
         #: aggregation use on runs with hundreds of thousands of kernel
         #: events, where span objects would dominate memory and wall time.
         self.tracer = Tracer(enabled=enabled and trace)

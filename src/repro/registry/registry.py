@@ -50,9 +50,9 @@ class RegistryError(RuntimeError):
 #
 # Registry metrics and hook events are gated on a per-network flag so
 # that runs which pinned their trace digests before this instrumentation
-# existed (golden fixtures, committed BENCH baselines) are bit-for-bit
-# unchanged.  The federation, the simcheck runner and the registry bench
-# turn it on; everything else keeps the old wire behaviour.
+# existed (golden fixtures, pinned digests) are bit-for-bit unchanged.
+# The federation, the simcheck runner and ``registry_telemetry`` city
+# runs turn it on; everything else keeps the old wire behaviour.
 
 def enable_registry_telemetry(network: Network) -> None:
     network.registry_telemetry = True

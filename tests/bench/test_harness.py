@@ -14,7 +14,7 @@ from repro.bench.reporting import (
     format_kv_table,
     format_phase_table,
 )
-from repro.bench.workloads import PAPER_FILE_SIZES_MB, mb
+from repro.city.params import PAPER_FILE_SIZES_MB, mb
 from repro.core import BindingPolicy
 
 

@@ -1,11 +1,13 @@
-"""`python -m repro city` and the city bench scenario wiring."""
+"""`python -m repro city`, ``simcheck --city`` and the smoke-tier city day."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.bench.trajectory import load_bench, run_bench
+from repro.city import CityConfig, CityWorkload
+from repro.obs import Observability
+from repro.simcheck import reset_global_state, trace_digest
 
 
 class TestCityCommand:
@@ -38,39 +40,39 @@ class TestCityCommand:
         assert "all 2 seeds passed" in capsys.readouterr().out
 
 
+def _smoke_city_day():
+    """One smoke-tier commuter day: ``(result, simulation digest)``."""
+    reset_global_state()
+    obs = Observability(trace=False)
+    result = CityWorkload(CityConfig.for_tier("smoke", seed=11),
+                          observability=obs).run()
+    return result, trace_digest(obs)
+
+
 @pytest.fixture(scope="module")
 def city_record():
-    return run_bench("city", quick=True)
+    return _smoke_city_day()
 
 
 class TestCityBenchScenario:
     def test_record_schema_and_slo_block(self, city_record):
-        record = city_record
-        assert record["scenario"] == "city"
-        assert record["params"]["tier"] == "smoke"
-        assert record["params"]["spaces"] >= 8
-        assert record["extra"]["legs_completed"] > 0
-        assert record["extra"]["trace_digest"]
-        assert record["extra"]["fleet_digest"]
-        slo = record["slo"]
+        result, sim_digest = city_record
+        assert result.tier == "smoke"
+        assert result.spaces >= 8
+        assert result.legs_completed > 0
+        assert result.trace_digest
+        assert result.fleet_digest
+        assert sim_digest
+        slo = result.slo.to_dict()
         assert slo["latency_ms"]["p99"] > 0
         assert slo["deadlines"]["miss_rate"] is not None
         assert slo["prestage"]["pushes"] > 0
         assert {"bulk", "control"} <= set(slo["link_utilization"])
-        json.dumps(record)
+        json.dumps(slo)
 
     def test_same_seed_same_sim_digest(self, city_record):
-        again = run_bench("city", quick=True)
-        assert again["sim_digest"] == city_record["sim_digest"]
-        assert again["extra"]["trace_digest"] == \
-            city_record["extra"]["trace_digest"]
-        assert again["extra"]["fleet_digest"] == \
-            city_record["extra"]["fleet_digest"]
-
-    def test_bench_cli_writes_the_city_record(self, tmp_path, capsys):
-        rc = main(["bench", "--quick", "--scenario", "city",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert "events/sec" in capsys.readouterr().out
-        record = load_bench(str(tmp_path / "BENCH_city.json"))
-        assert record["scenario"] == "city"
+        result, sim_digest = city_record
+        again, again_digest = _smoke_city_day()
+        assert again_digest == sim_digest
+        assert again.trace_digest == result.trace_digest
+        assert again.fleet_digest == result.fleet_digest

@@ -1,0 +1,184 @@
+"""Pinned simulation digests: fail when a change moves simulated behaviour.
+
+Each row runs one standing scenario under ``Observability(trace=False)``
+and compares :func:`repro.simcheck.trace_digest` of the hub against the
+value pinned in :data:`PINNED`.  Wall-clock measurement lives in
+``perf/run.py``; this table only guards *what* the simulator does.
+
+An intended behaviour change re-pins by pasting the digest the failing
+row prints into :data:`PINNED`.
+"""
+
+from typing import Any, Callable, Dict, Tuple
+
+import pytest
+
+from repro.obs import Observability
+from repro.simcheck import reset_global_state, trace_digest
+
+PINNED: Dict[str, str] = {
+    "scale":
+        "0b913ee50118158c0cdeaa36f844516ca3b08ee2a341ce57e1eeef3dfbacd360",
+    "transfer_window":
+        "02e82637fe0165757b6a8f1f26014de163409c79bc3cfcb31bca5960c8636280",
+    "workload_day":
+        "9164ce6958810e9d244b372651159481434dabd5ceab81cb12e86d21afd968ee",
+    "registry":
+        "a686b0af25475d432689acc792cdd6b6fea0c5f577b497a2c9f57a3406b3593c",
+    "registry_flat":
+        "11e4772a43b4e469d6b55348d408e0e10229a3bf7bf00212797a781fb6283932",
+    # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
+    "city":
+        "1805fa3e99e04f99f08abecf290397fb6f52750e70517094762be90af5eea559",
+}
+
+
+def _observed() -> Observability:
+    reset_global_state()
+    return Observability(trace=False)
+
+
+# -- scenario runners ------------------------------------------------------
+#
+# Each runner returns ``{pinned key: digest}`` for the runs it made and
+# asserts the scenario's own result floors along the way.
+
+
+def _run_scale() -> Dict[str, str]:
+    from repro.bench.scale import scale_benchmark
+
+    obs = _observed()
+    scale_benchmark(spaces=10, hosts_per_space=5, apps_per_host=4, legs=40,
+                    admission_limit=8, payload_bytes=60_000, seed=21,
+                    deadline_ms=120_000.0, prestage_fraction=0.25,
+                    observability=obs)
+    return {"scale": trace_digest(obs)}
+
+
+def _run_transfer_window() -> Dict[str, str]:
+    from repro.bench.harness import transfer_window_experiment
+
+    obs = _observed()
+    transfer_window_experiment(windows=(1, 2, 4, 8), payload_bytes=1_000_000,
+                               chunk_bytes=65_536, latency_ms=40.0,
+                               bandwidth_mbps=10.0, seed=5,
+                               observability=obs)
+    return {"transfer_window": trace_digest(obs)}
+
+
+def _run_workload_day() -> Dict[str, str]:
+    """The only driver of the context-driven ``announce_location`` path."""
+    from repro.bench.scenarios import SmartBuildingWorkload, WorkloadConfig
+
+    obs = _observed()
+    config = WorkloadConfig(spaces=4, hosts_per_space=2, users=8,
+                            duration_ms=3_600_000.0,
+                            mean_dwell_ms=300_000.0, track_bytes=2_000_000,
+                            mobility_pattern="routine", prestaging=True,
+                            seed=1)
+    SmartBuildingWorkload(config, observability=obs).run()
+    return {"workload_day": trace_digest(obs)}
+
+
+def _swallow_registry_result(result, error) -> None:
+    """Sink for the sweep's registry reads (latency is the measurement)."""
+
+
+def _registry_sweep(federated: bool) -> Tuple[Observability, Any]:
+    """One city lookup storm against a flat or a federated registry.
+
+    The city is built with every commuter's apps launched at home, then
+    replays a deterministic read sweep: per app, ``passes`` repeats of a
+    ``components_at`` (every ``global_every``-th app an
+    ``application_hosts`` fan-out instead), spaced so the flat center
+    stays below its service capacity -- the comparison measures
+    architecture, not a melted queue.
+    """
+    from repro.city import CityConfig, CityWorkload
+
+    passes, spacing_ms, repeat_gap_ms = 3, 8.0, 100.0
+    global_every = 100
+    obs = _observed()
+    config = CityConfig.for_tier("quick", seed=11,
+                                 federated_registry=federated,
+                                 registry_telemetry=True)
+    workload = CityWorkload(config, observability=obs)
+    deployment = workload.build()
+    deployment.run_all()
+    loop = deployment.loop
+    t0 = loop.now + 10.0
+    for i, (app_name, host) in enumerate(sorted(workload.app_host.items())):
+        client = deployment.middleware(host).registry_client
+        if i % global_every == 0:
+            operation = "application_hosts"
+            args: Dict[str, Any] = {"app_name": app_name}
+        else:
+            operation = "components_at"
+            args = {"app_name": app_name, "host": host}
+        base = t0 + i * spacing_ms
+        for repeat in range(passes):
+            loop.call_at(base + repeat * repeat_gap_ms, client.call,
+                         operation, dict(args), _swallow_registry_result)
+    deployment.run_all()
+    return obs, deployment
+
+
+def _registry_stats(obs) -> Dict[str, float]:
+    (latency,) = [h for h in obs.metrics.histograms()
+                  if h.name == "registry.lookup.latency_ms" and h.values]
+    counts: Dict[str, float] = {}
+    for counter in obs.metrics.counters():
+        counts[counter.name] = counts.get(counter.name, 0) + counter.value
+    hits = counts.get("registry.cache.hit", 0)
+    misses = counts.get("registry.cache.miss", 0)
+    return {
+        "p99_ms": latency.percentile(99.0),
+        "messages": counts.get("registry.messages", 0),
+        "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+    }
+
+
+def _run_registry() -> Dict[str, str]:
+    """Flat center vs federated shards under one lookup storm."""
+    flat_obs, _ = _registry_sweep(federated=False)
+    fed_obs, fed_deployment = _registry_sweep(federated=True)
+    flat, fed = _registry_stats(flat_obs), _registry_stats(fed_obs)
+    assert fed["p99_ms"] > 0 and flat["p99_ms"] / fed["p99_ms"] > 1.0
+    assert flat["messages"] / fed["messages"] > 1.0
+    assert fed_deployment.federation.stats()["registry_shards"] > 1
+    assert fed["cache_hit_rate"] > 0
+    return {"registry": trace_digest(fed_obs),
+            "registry_flat": trace_digest(flat_obs)}
+
+
+def _run_city() -> Dict[str, str]:
+    """One commuter day at the smoke tier.
+
+    Same-seed determinism and the SLO block of this day are checked in
+    ``tests/city/test_cli.py``.
+    """
+    from repro.city import CityConfig, CityWorkload
+
+    obs = _observed()
+    CityWorkload(CityConfig.for_tier("smoke", seed=11),
+                 observability=obs).run()
+    return {"city": trace_digest(obs)}
+
+
+RUNNERS: Dict[str, Callable[[], Dict[str, str]]] = {
+    "scale": _run_scale,
+    "transfer_window": _run_transfer_window,
+    "workload_day": _run_workload_day,
+    "registry": _run_registry,
+    "city": _run_city,
+}
+
+
+@pytest.mark.parametrize("scenario", list(RUNNERS))
+def test_pinned_digest(scenario):
+    moved = {key: digest for key, digest in RUNNERS[scenario]().items()
+             if digest != PINNED[key]}
+    assert not moved, (
+        "simulated behaviour changed; if intended, re-pin with\n"
+        + "\n".join(f"    {key!r}: {digest!r}," for key, digest
+                     in moved.items()))
