@@ -105,15 +105,13 @@ class MDAutonomousAgent(Agent):
     def __init__(self, local_name: str):
         super().__init__(local_name)
         self.middleware: Optional["MDAgentMiddleware"] = None
-        self.engine = DecisionEngine()
+        self.engine: Optional[DecisionEngine] = None
         self.decisions: List[Decision] = []
         self.migrations_requested = 0
 
     def attach(self, middleware: "MDAgentMiddleware") -> None:
         self.middleware = middleware
-        self.engine = DecisionEngine(
-            response_time_threshold_ms=middleware.config
-            .response_time_threshold_ms)
+        self.engine = DecisionEngine(middleware.deployment.migration_rules)
 
     def setup(self) -> None:
         agent = self

@@ -51,6 +51,7 @@ from repro.core.pipeline import (
     build_prestage_pipeline,
 )
 from repro.core.profiles import DeviceProfile
+from repro.core.rulesets import default_migration_rules
 from repro.core.snapshot import SnapshotManager
 from repro.net.kernel import EventLoop
 from repro.net.simnet import (
@@ -855,6 +856,10 @@ class Deployment:
             if e.get("location") else None)
         self.sensors: Optional[CricketSensorNetwork] = None
         self.config = config if config is not None else MiddlewareConfig()
+        # One parse for every host's decision engine: the reasoner only
+        # iterates the rules, so the hosts can share them.
+        self.migration_rules = default_migration_rules(
+            self.config.response_time_threshold_ms)
         self.middlewares: Dict[str, MDAgentMiddleware] = {}
         self.device_profiles: Dict[str, DeviceProfile] = {}
         self.registry_server: Optional[RegistryServer] = None

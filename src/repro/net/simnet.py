@@ -774,6 +774,12 @@ class Network:
         # when the attached metrics registry changes identity.
         self._metrics_for = None
         self._proto_counters: Dict[Tuple[str, str], Any] = {}
+        # Registry endpoints by host name (see repro.registry): the client
+        # that takes registry responses on a host, and the center a
+        # same-host client dispatches to without a network trip.  Held
+        # per network so that a dropped deployment can be collected.
+        self.registry_clients: Dict[str, Any] = {}
+        self.registry_centers: Dict[str, Any] = {}
 
     # -- construction -----------------------------------------------------
 

@@ -381,8 +381,7 @@ class FederationNode:
         if entry is not None:
             self._on_sub_response(request_id, entry, result, error)
             return
-        client = RegistryClient._instances.get(
-            (id(self.network), message.destination))
+        client = self.network.registry_clients.get(message.destination)
         if client is not None:
             client._on_response(message)
 

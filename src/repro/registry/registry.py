@@ -315,8 +315,7 @@ class RegistryServer:
     def _on_request(self, message: Message) -> None:
         kind, request_id, operation, args = message.payload
         if kind != "request":  # a response riding back to a client
-            client = RegistryClient._instances.get(
-                (id(self.network), message.destination))
+            client = self.network.registry_clients.get(message.destination)
             if client is not None:
                 client._on_response(message)
             return
@@ -350,7 +349,6 @@ class RegistryClient:
     silent losses) -- a registry outage must never hang or crash a caller.
     """
 
-    _instances: Dict[Tuple[int, str], "RegistryClient"] = {}
     _request_ids = itertools.count(1)
 
     def __init__(self, network: Network, host_name: str, server_host: str,
@@ -364,7 +362,7 @@ class RegistryClient:
         self._operations: Dict[int, str] = {}
         self.calls = 0
         self.timeouts = 0
-        RegistryClient._instances[(id(network), host_name)] = self
+        network.registry_clients[host_name] = self
         host = network.host(host_name)
         if not host.handles(REGISTRY_PROTOCOL):
             host.register_handler(REGISTRY_PROTOCOL, self._on_response)
@@ -393,7 +391,10 @@ class RegistryClient:
             # Local registry access: no network trip, immediate dispatch.
             def local():
                 try:
-                    center = _local_center_lookup(self.network, target)
+                    center = self.network.registry_centers.get(target)
+                    if center is None:
+                        raise RegistryError(
+                            f"no registry center on host {target!r}")
                     result = center.dispatch(operation, args)
                 except Exception as exc:
                     emit_registry_event(self.network, "registry.fail",
@@ -510,21 +511,10 @@ class CachingRegistryClient(RegistryClient):
         self._cache.clear()
 
 
-#: host name -> RegistryCenter, so same-host clients can skip the network.
-_LOCAL_CENTERS: Dict[Tuple[int, str], RegistryCenter] = {}
-
-
-def _local_center_lookup(network: Network, host_name: str) -> RegistryCenter:
-    center = _LOCAL_CENTERS.get((id(network), host_name))
-    if center is None:
-        raise RegistryError(f"no registry center on host {host_name!r}")
-    return center
-
-
 def install_registry(network: Network, host_name: str,
                      center: Optional[RegistryCenter] = None,
                      processing_delay_ms: float = 2.0) -> RegistryServer:
     """Create a RegistryServer and record it for local-client shortcuts."""
     server = RegistryServer(network, host_name, center, processing_delay_ms)
-    _LOCAL_CENTERS[(id(network), host_name)] = server.center
+    network.registry_centers[host_name] = server.center
     return server

@@ -25,16 +25,13 @@ from repro.simcheck.scenario import (
 
 
 def reset_global_state() -> None:
-    """Re-seed every module/class-level counter and registry.
+    """Re-seed every module/class-level counter.
 
     The simulation is deterministic per Deployment, but a few identifier
     counters live at module or class scope: conversation ids, ACL
     reply-with tokens, registry request ids and snapshot ids.  Their
     values leak into estimated message sizes (string length counts), so
     back-to-back runs in one process diverge unless the counters restart.
-    This also clears the ``id()``-keyed registry lookup tables, which
-    would otherwise grow per deployment and could alias a recycled
-    ``id()`` to a stale center.
     """
     import repro.agents.acl as acl
     from repro.agents.protocols import (
@@ -53,8 +50,6 @@ def reset_global_state() -> None:
     ContractNetInitiator._conversation_ids = itertools.count(1)
     SnapshotManager._ids = itertools.count(1)
     registry_module.RegistryClient._request_ids = itertools.count(1)
-    registry_module.RegistryClient._instances.clear()
-    registry_module._LOCAL_CENTERS.clear()
 
 
 def trace_digest(observability) -> str:

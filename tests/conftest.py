@@ -6,10 +6,9 @@ derandomized example generation (identical inputs on every run, fitting a
 reproduction repository where bit-identical behaviour is a feature).
 
 The autouse ``fresh_global_state`` fixture re-seeds every module/class
-level counter and registry before each test (ACL reply ids, protocol
-conversation ids, registry request ids and lookup tables, snapshot ids),
-so no test can depend on -- or be broken by -- the execution order of the
-tests before it.
+level counter before each test (ACL reply ids, protocol conversation ids,
+registry request ids, snapshot ids), so no test can depend on -- or be
+broken by -- the execution order of the tests before it.
 """
 
 import pytest
