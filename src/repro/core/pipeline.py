@@ -465,17 +465,27 @@ class AdmissionPhase(MiddlewarePhase):
             raise MigrationError(
                 f"unknown destination host {request.destination!r}")
         middleware.deployment._arm_chaos("first-migration")
-        provisional = MigrationPlan(request.app_name, middleware.host_name,
-                                    request.destination, request.kind,
-                                    request.policy)
-        outcome = MigrationOutcome(provisional)
-        token = middleware.deployment.new_outcome_token(request.app_name)
-        middleware.deployment.outcomes[token] = outcome
-        outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
-        ctx.app = app
-        ctx.outcome = outcome
-        ctx.token = token
-        ctx.complete_phase()
+        _mint_outcome(ctx, app, MigrationPlan(
+            request.app_name, middleware.host_name, request.destination,
+            request.kind, request.policy))
+
+
+def _mint_outcome(ctx: MigrationContext, app: Application,
+                  provisional: MigrationPlan) -> None:
+    """Register a new outcome under a fresh deployment token; the
+    behaviour ledger records its terminal state."""
+    deployment = ctx.middleware.deployment
+    outcome = MigrationOutcome(provisional)
+    token = deployment.new_outcome_token(provisional.app_name)
+    deployment.outcomes[token] = outcome
+    outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
+    obs = ctx.observability
+    if obs is not None:
+        outcome.on_complete(lambda o: obs.ledger.outcome(token, o))
+    ctx.app = app
+    ctx.outcome = outcome
+    ctx.token = token
+    ctx.complete_phase()
 
 
 class PlanningPhase(MiddlewarePhase):
@@ -983,18 +993,9 @@ class PrestageAdmissionPhase(MiddlewarePhase):
         if not middleware.network.has_host(request.destination):
             raise MigrationError(
                 f"unknown destination host {request.destination!r}")
-        provisional = MigrationPlan(request.app_name, middleware.host_name,
-                                    request.destination,
-                                    MigrationKind.FOLLOW_ME,
-                                    BindingPolicy.ADAPTIVE, prestage=True)
-        outcome = MigrationOutcome(provisional)
-        token = middleware.deployment.new_outcome_token(request.app_name)
-        middleware.deployment.outcomes[token] = outcome
-        outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
-        ctx.app = app
-        ctx.outcome = outcome
-        ctx.token = token
-        ctx.complete_phase()
+        _mint_outcome(ctx, app, MigrationPlan(
+            request.app_name, middleware.host_name, request.destination,
+            MigrationKind.FOLLOW_ME, BindingPolicy.ADAPTIVE, prestage=True))
 
 
 class PrestagePlanningPhase(MiddlewarePhase):

@@ -1063,6 +1063,7 @@ class Network:
             if obs is not None:
                 self._proto_counter(obs.metrics, "delivered",
                                     receipt.message.protocol).inc()
+                obs.ledger.message(job.arrival, receipt.message, True)
             dst.deliver(receipt.message)
             self.bytes_delivered_total += size
             if on_delivered is not None:
@@ -1093,6 +1094,7 @@ class Network:
         if obs is not None:
             self._proto_counter(obs.metrics, "dropped",
                                 receipt.message.protocol).inc()
+            obs.ledger.message(self.loop.now, receipt.message, False)
         if on_dropped is not None:
             on_dropped(receipt)
 
@@ -1299,6 +1301,7 @@ class Network:
         if obs is not None:
             self._proto_counter(obs.metrics, "delivered",
                                 receipt.message.protocol).inc()
+            obs.ledger.message(self.loop.now, receipt.message, True)
         dst.deliver(receipt.message)
         self.bytes_delivered_total += receipt.message.size_bytes
         if on_delivered is not None:

@@ -24,6 +24,7 @@ call :meth:`begin_run` between them to partition the records.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 from repro.obs.exporters import (
@@ -37,8 +38,42 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
+class Ledger:
+    """Running sha256 over what the simulation *did*.
+
+    The network appends every delivered or dropped message and the
+    pipeline every migration's terminal record; nothing telemetry-shaped
+    (span or metric names, callback names, queue internals) is ever
+    recorded, so instrumentation can change without moving
+    :func:`repro.simcheck.behaviour_digest`.
+    """
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self.records = 0
+
+    def record(self, *fields: Any) -> None:
+        self._sha.update(repr(fields).encode("utf-8"))
+        self.records += 1
+
+    def message(self, at: float, message: Any, delivered: bool) -> None:
+        self.record(at, message.source, message.destination,
+                    message.protocol, message.size_bytes, delivered)
+
+    def outcome(self, token: str, outcome: Any) -> None:
+        plan = outcome.plan
+        self.record(token, plan.app_name, plan.source, plan.destination,
+                    outcome.completed, outcome.failure_reason,
+                    outcome.started_at, outcome.suspend_done_at,
+                    outcome.migrate_done_at, outcome.resume_done_at)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
 class Observability:
-    """Bundles a :class:`Tracer` and a :class:`MetricsRegistry`."""
+    """Bundles a :class:`Tracer`, a :class:`MetricsRegistry` and the
+    behaviour :class:`Ledger`."""
 
     def __init__(self, enabled: bool = True, trace: bool = True):
         self.enabled = enabled
@@ -48,6 +83,7 @@ class Observability:
         #: events, where span objects would dominate memory and wall time.
         self.tracer = Tracer(enabled=enabled and trace)
         self.metrics = MetricsRegistry()
+        self.ledger = Ledger()
         #: Synchronous listeners for structured runtime events (see
         #: :meth:`emit`).  Instrumented layers guard the emission with
         #: ``if obs.hooks:`` so the empty-list case costs one truthiness

@@ -24,6 +24,7 @@ from repro.simcheck.runner import (
     SABOTAGE_VIOLATIONS,
     LegResult,
     SimcheckReport,
+    behaviour_digest,
     check_determinism,
     reset_global_state,
     run_scenario,
@@ -67,6 +68,7 @@ __all__ = [
     "SimcheckError",
     "SimcheckReport",
     "VIOLATION_KINDS",
+    "behaviour_digest",
     "build_application",
     "build_deployment",
     "check_determinism",

@@ -1,11 +1,11 @@
-"""Scenario execution: build, run, check invariants, digest the trace.
+"""Scenario execution: build, run, check invariants, digest the behaviour.
 
 :func:`run_scenario` is the single entry point the fuzzer, the shrinker
 and artifact replay all share -- one scenario in, one
 :class:`SimcheckReport` out.  :func:`reset_global_state` re-seeds the
 handful of module/class-level counters in the codebase so two runs of the
-same scenario inside one process are byte-identical
-(:func:`check_determinism` asserts exactly that on trace digests).
+same scenario inside one process are identical
+(:func:`check_determinism` asserts exactly that on behaviour digests).
 """
 
 from __future__ import annotations
@@ -55,11 +55,48 @@ def reset_global_state() -> None:
 def trace_digest(observability) -> str:
     """SHA-256 over the canonical JSONL trace (spans, events, metrics).
 
-    The JSONL stream is sim-time ordered with sorted keys and contains no
-    wall-clock data, so equal digests mean behaviourally identical runs.
+    The stream includes telemetry (span structure, metric names, callback
+    names), so it is only meaningful run-to-run on one code version; pin
+    behaviour with :func:`behaviour_digest`.
     """
     return hashlib.sha256(
         observability.to_jsonl().encode("utf-8")).hexdigest()
+
+
+def behaviour_digest(observability, *deployments) -> str:
+    """SHA-256 over what the simulation did.
+
+    Folds the hub's :class:`~repro.obs.hub.Ledger` (every delivered or
+    dropped message, every migration's terminal record) with each given
+    deployment's totals at quiescence: the byte ledger and per-link
+    carried bytes, the receiver and dedup table sizes, registry calls per
+    client, host clock readings, live DF leases, and outcomes that never
+    reached a terminal state.  Tracing, hooks and metric names cannot
+    move it.
+    """
+    ledger = observability.ledger
+    sha = hashlib.sha256(f"{ledger.records}:{ledger.hexdigest()}".encode())
+    for deployment in deployments:
+        net = deployment.network
+        mobility = deployment.platform.mobility
+        totals = (
+            net.bytes_on_wire, net.bytes_off_wire, net.bytes_delivered_total,
+            net.retired_link_bytes,
+            [(link.a, link.b, link.bytes_carried, link.bytes_dropped)
+             for link in net.links],
+            len(mobility._rx_chunks), len(mobility._rx_done),
+            sorted((host, client.calls)
+                   for host, client in net.registry_clients.items()),
+            [(host.name, host.clock.skew_ms, host.clock.drift_ppm)
+             for host in net.hosts],
+            sorted((s.name, s.owner, s.expires_at)
+                   for s in deployment.platform.df._services
+                   if s.expires_at is not None),
+            sorted(token for token, outcome in deployment.outcomes.items()
+                   if not (outcome.completed or outcome.failed)),
+        )
+        sha.update(repr(totals).encode("utf-8"))
+    return sha.hexdigest()
 
 
 # -- sabotage hooks (test-only) --------------------------------------------
@@ -414,16 +451,14 @@ def run_scenario(scenario: Scenario, fresh_state: bool = True
         violations=checker.violations,
         legs=legs,
         stats=deployment.stats(),
-        digest=trace_digest(observability),
+        digest=behaviour_digest(observability, deployment),
         flight=flight_dump)
 
 
 def check_determinism(scenario: Scenario) -> Dict[str, Any]:
-    """Run a scenario twice from fresh state; compare trace digests.
+    """Run a scenario twice from fresh state; compare behaviour digests.
 
-    Returns ``{"deterministic": bool, "digests": [d1, d2]}``.  Identical
-    digests mean the two runs produced byte-identical span/event/metric
-    streams -- the strongest whole-run equality the harness can observe.
+    Returns ``{"deterministic": bool, "digests": [d1, d2]}``.
     """
     first = run_scenario(scenario, fresh_state=True)
     second = run_scenario(scenario, fresh_state=True)

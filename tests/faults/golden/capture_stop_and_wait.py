@@ -16,6 +16,7 @@ from repro.core import BindingPolicy
 from repro.faults import FaultConfig, FaultPlan, FaultSpec, link_target
 from repro.obs import Observability
 from repro.obs.exporters import to_jsonl
+from repro.simcheck import behaviour_digest
 
 GOLDEN = pathlib.Path(__file__).parent / "stop_and_wait_window1.json"
 
@@ -51,6 +52,7 @@ def run(faults, label):
         "dedup_hits": outcome.dedup_hits,
         "total_ms": outcome.total_ms,
         "jsonl": to_jsonl(obs),
+        "behaviour": behaviour_digest(obs),
     }
 
 

@@ -1,12 +1,16 @@
 """Pinned simulation digests: fail when a change moves simulated behaviour.
 
 Each row runs one standing scenario under ``Observability(trace=False)``
-and compares :func:`repro.simcheck.trace_digest` of the hub against the
-value pinned in :data:`PINNED`.  Wall-clock measurement lives in
+and compares :func:`repro.simcheck.behaviour_digest` of the hub (and of
+the row's deployment, where the runner keeps one) against the value
+pinned in :data:`PINNED`.  Wall-clock measurement lives in
 ``perf/run.py``; this table only guards *what* the simulator does.
 
 An intended behaviour change re-pins by pasting the digest the failing
 row prints into :data:`PINNED`.
+
+:data:`TRACE_PINNED` is the previous whole-telemetry column, kept next
+to the behaviour column while both are known to agree.
 """
 
 from typing import Any, Callable, Dict, Tuple
@@ -14,9 +18,25 @@ from typing import Any, Callable, Dict, Tuple
 import pytest
 
 from repro.obs import Observability
-from repro.simcheck import reset_global_state, trace_digest
+from repro.simcheck import behaviour_digest, reset_global_state, trace_digest
 
 PINNED: Dict[str, str] = {
+    "scale":
+        "77be8fd3ecf7ea51d375debbf9d297e20b0210ce099c547ccece976275a97d83",
+    "transfer_window":
+        "e6ce2dcc1b43b1097b81d27dcc72cd65f38f74aec6bd00917b5a8315a60614c5",
+    "workload_day":
+        "6c47a662a88bc283db24f44e0cf58126806fbb6de0fb8610b6f7e3e2d0e6a6fa",
+    "registry":
+        "0c73abed959e5b92fc0bc03064820f09bdd483aa677e6a9dedc69bef838d0196",
+    "registry_flat":
+        "bdc27adb3c2c9a2c0817a71cf5a63e3114280c54d030ca018a2bc6730f3e054c",
+    # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
+    "city":
+        "d765944c7e41853dc0d33b269c86396f1254a94ed8c0f066c091111856f9a76f",
+}
+
+TRACE_PINNED: Dict[str, str] = {
     "scale":
         "0b913ee50118158c0cdeaa36f844516ca3b08ee2a341ce57e1eeef3dfbacd360",
     "transfer_window":
@@ -38,10 +58,14 @@ def _observed() -> Observability:
     return Observability(trace=False)
 
 
+def _digests(obs: Observability, *deployments) -> Tuple[str, str]:
+    return behaviour_digest(obs, *deployments), trace_digest(obs)
+
+
 # -- scenario runners ------------------------------------------------------
 #
-# Each runner returns ``{pinned key: digest}`` for the runs it made and
-# asserts the scenario's own result floors along the way.
+# Each runner returns ``{pinned key: (behaviour, trace)}`` for the runs it
+# made and asserts the scenario's own result floors along the way.
 
 
 def _run_scale() -> Dict[str, str]:
@@ -52,7 +76,7 @@ def _run_scale() -> Dict[str, str]:
                     admission_limit=8, payload_bytes=60_000, seed=21,
                     deadline_ms=120_000.0, prestage_fraction=0.25,
                     observability=obs)
-    return {"scale": trace_digest(obs)}
+    return {"scale": _digests(obs)}
 
 
 def _run_transfer_window() -> Dict[str, str]:
@@ -63,7 +87,7 @@ def _run_transfer_window() -> Dict[str, str]:
                                chunk_bytes=65_536, latency_ms=40.0,
                                bandwidth_mbps=10.0, seed=5,
                                observability=obs)
-    return {"transfer_window": trace_digest(obs)}
+    return {"transfer_window": _digests(obs)}
 
 
 def _run_workload_day() -> Dict[str, str]:
@@ -76,8 +100,9 @@ def _run_workload_day() -> Dict[str, str]:
                             mean_dwell_ms=300_000.0, track_bytes=2_000_000,
                             mobility_pattern="routine", prestaging=True,
                             seed=1)
-    SmartBuildingWorkload(config, observability=obs).run()
-    return {"workload_day": trace_digest(obs)}
+    workload = SmartBuildingWorkload(config, observability=obs)
+    workload.run()
+    return {"workload_day": _digests(obs, workload.deployment)}
 
 
 def _swallow_registry_result(result, error) -> None:
@@ -140,15 +165,15 @@ def _registry_stats(obs) -> Dict[str, float]:
 
 def _run_registry() -> Dict[str, str]:
     """Flat center vs federated shards under one lookup storm."""
-    flat_obs, _ = _registry_sweep(federated=False)
+    flat_obs, flat_deployment = _registry_sweep(federated=False)
     fed_obs, fed_deployment = _registry_sweep(federated=True)
     flat, fed = _registry_stats(flat_obs), _registry_stats(fed_obs)
     assert fed["p99_ms"] > 0 and flat["p99_ms"] / fed["p99_ms"] > 1.0
     assert flat["messages"] / fed["messages"] > 1.0
     assert fed_deployment.federation.stats()["registry_shards"] > 1
     assert fed["cache_hit_rate"] > 0
-    return {"registry": trace_digest(fed_obs),
-            "registry_flat": trace_digest(flat_obs)}
+    return {"registry": _digests(fed_obs, fed_deployment),
+            "registry_flat": _digests(flat_obs, flat_deployment)}
 
 
 def _run_city() -> Dict[str, str]:
@@ -160,12 +185,13 @@ def _run_city() -> Dict[str, str]:
     from repro.city import CityConfig, CityWorkload
 
     obs = _observed()
-    CityWorkload(CityConfig.for_tier("smoke", seed=11),
-                 observability=obs).run()
-    return {"city": trace_digest(obs)}
+    workload = CityWorkload(CityConfig.for_tier("smoke", seed=11),
+                            observability=obs)
+    workload.run()
+    return {"city": _digests(obs, workload.deployment)}
 
 
-RUNNERS: Dict[str, Callable[[], Dict[str, str]]] = {
+RUNNERS: Dict[str, Callable[[], Dict[str, Tuple[str, str]]]] = {
     "scale": _run_scale,
     "transfer_window": _run_transfer_window,
     "workload_day": _run_workload_day,
@@ -176,9 +202,12 @@ RUNNERS: Dict[str, Callable[[], Dict[str, str]]] = {
 
 @pytest.mark.parametrize("scenario", list(RUNNERS))
 def test_pinned_digest(scenario):
-    moved = {key: digest for key, digest in RUNNERS[scenario]().items()
-             if digest != PINNED[key]}
+    digests = RUNNERS[scenario]()
+    moved = {key: behaviour for key, (behaviour, _) in digests.items()
+             if behaviour != PINNED[key]}
     assert not moved, (
         "simulated behaviour changed; if intended, re-pin with\n"
         + "\n".join(f"    {key!r}: {digest!r}," for key, digest
                      in moved.items()))
+    assert {key: trace for key, (_, trace) in digests.items()} == \
+        {key: TRACE_PINNED[key] for key in digests}
