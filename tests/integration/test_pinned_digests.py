@@ -8,9 +8,6 @@ pinned in :data:`PINNED`.  Wall-clock measurement lives in
 
 An intended behaviour change re-pins by pasting the digest the failing
 row prints into :data:`PINNED`.
-
-:data:`TRACE_PINNED` is the previous whole-telemetry column, kept next
-to the behaviour column while both are known to agree.
 """
 
 from typing import Any, Callable, Dict, Tuple
@@ -18,7 +15,7 @@ from typing import Any, Callable, Dict, Tuple
 import pytest
 
 from repro.obs import Observability
-from repro.simcheck import behaviour_digest, reset_global_state, trace_digest
+from repro.simcheck import behaviour_digest, reset_global_state
 
 PINNED: Dict[str, str] = {
     "scale":
@@ -36,36 +33,16 @@ PINNED: Dict[str, str] = {
         "d765944c7e41853dc0d33b269c86396f1254a94ed8c0f066c091111856f9a76f",
 }
 
-TRACE_PINNED: Dict[str, str] = {
-    "scale":
-        "0b913ee50118158c0cdeaa36f844516ca3b08ee2a341ce57e1eeef3dfbacd360",
-    "transfer_window":
-        "02e82637fe0165757b6a8f1f26014de163409c79bc3cfcb31bca5960c8636280",
-    "workload_day":
-        "9164ce6958810e9d244b372651159481434dabd5ceab81cb12e86d21afd968ee",
-    "registry":
-        "a686b0af25475d432689acc792cdd6b6fea0c5f577b497a2c9f57a3406b3593c",
-    "registry_flat":
-        "11e4772a43b4e469d6b55348d408e0e10229a3bf7bf00212797a781fb6283932",
-    # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
-    "city":
-        "1805fa3e99e04f99f08abecf290397fb6f52750e70517094762be90af5eea559",
-}
-
 
 def _observed() -> Observability:
     reset_global_state()
     return Observability(trace=False)
 
 
-def _digests(obs: Observability, *deployments) -> Tuple[str, str]:
-    return behaviour_digest(obs, *deployments), trace_digest(obs)
-
-
 # -- scenario runners ------------------------------------------------------
 #
-# Each runner returns ``{pinned key: (behaviour, trace)}`` for the runs it
-# made and asserts the scenario's own result floors along the way.
+# Each runner returns ``{pinned key: digest}`` for the runs it made and
+# asserts the scenario's own result floors along the way.
 
 
 def _run_scale() -> Dict[str, str]:
@@ -76,7 +53,7 @@ def _run_scale() -> Dict[str, str]:
                     admission_limit=8, payload_bytes=60_000, seed=21,
                     deadline_ms=120_000.0, prestage_fraction=0.25,
                     observability=obs)
-    return {"scale": _digests(obs)}
+    return {"scale": behaviour_digest(obs)}
 
 
 def _run_transfer_window() -> Dict[str, str]:
@@ -87,7 +64,7 @@ def _run_transfer_window() -> Dict[str, str]:
                                chunk_bytes=65_536, latency_ms=40.0,
                                bandwidth_mbps=10.0, seed=5,
                                observability=obs)
-    return {"transfer_window": _digests(obs)}
+    return {"transfer_window": behaviour_digest(obs)}
 
 
 def _run_workload_day() -> Dict[str, str]:
@@ -102,7 +79,7 @@ def _run_workload_day() -> Dict[str, str]:
                             seed=1)
     workload = SmartBuildingWorkload(config, observability=obs)
     workload.run()
-    return {"workload_day": _digests(obs, workload.deployment)}
+    return {"workload_day": behaviour_digest(obs, workload.deployment)}
 
 
 def _swallow_registry_result(result, error) -> None:
@@ -172,8 +149,8 @@ def _run_registry() -> Dict[str, str]:
     assert flat["messages"] / fed["messages"] > 1.0
     assert fed_deployment.federation.stats()["registry_shards"] > 1
     assert fed["cache_hit_rate"] > 0
-    return {"registry": _digests(fed_obs, fed_deployment),
-            "registry_flat": _digests(flat_obs, flat_deployment)}
+    return {"registry": behaviour_digest(fed_obs, fed_deployment),
+            "registry_flat": behaviour_digest(flat_obs, flat_deployment)}
 
 
 def _run_city() -> Dict[str, str]:
@@ -188,10 +165,10 @@ def _run_city() -> Dict[str, str]:
     workload = CityWorkload(CityConfig.for_tier("smoke", seed=11),
                             observability=obs)
     workload.run()
-    return {"city": _digests(obs, workload.deployment)}
+    return {"city": behaviour_digest(obs, workload.deployment)}
 
 
-RUNNERS: Dict[str, Callable[[], Dict[str, Tuple[str, str]]]] = {
+RUNNERS: Dict[str, Callable[[], Dict[str, str]]] = {
     "scale": _run_scale,
     "transfer_window": _run_transfer_window,
     "workload_day": _run_workload_day,
@@ -202,12 +179,9 @@ RUNNERS: Dict[str, Callable[[], Dict[str, Tuple[str, str]]]] = {
 
 @pytest.mark.parametrize("scenario", list(RUNNERS))
 def test_pinned_digest(scenario):
-    digests = RUNNERS[scenario]()
-    moved = {key: behaviour for key, (behaviour, _) in digests.items()
-             if behaviour != PINNED[key]}
+    moved = {key: digest for key, digest in RUNNERS[scenario]().items()
+             if digest != PINNED[key]}
     assert not moved, (
         "simulated behaviour changed; if intended, re-pin with\n"
         + "\n".join(f"    {key!r}: {digest!r}," for key, digest
                      in moved.items()))
-    assert {key: trace for key, (_, trace) in digests.items()} == \
-        {key: TRACE_PINNED[key] for key in digests}
