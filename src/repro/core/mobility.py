@@ -120,12 +120,8 @@ class MobilityManager:
 
     Since the pipeline refactor the phase *logic* lives in
     :mod:`repro.core.pipeline`; this class keeps the cost knobs, the
-    mobile-agent name sequence, the rollback/failure-accounting helpers,
-    and the timer continuation methods (``_wrap_and_send`` and friends).
-    Those methods are the monolith's historical timer targets: the kernel
-    records every dispatched callback's qualified name in the trace, so
-    keeping the names -- as one-line continuations into the pipeline --
-    keeps the golden and pinned scenario digests byte-identical.
+    mobile-agent name sequence and the rollback/failure-accounting
+    helpers.
     """
 
     def __init__(self, middleware: "MDAgentMiddleware",
@@ -140,26 +136,6 @@ class MobilityManager:
     @property
     def loop(self):
         return self.middleware.loop
-
-    # -- pipeline timer continuations ---------------------------------------
-    # Scheduled via loop.call_later by the pipeline phases; each marks the
-    # paid cost window done and hands control back to the stack.
-
-    def _wrap_and_send(self, ctx) -> None:
-        """State capture cost paid: continue with the transfer phase."""
-        ctx.complete_phase()
-
-    def _rebind_and_open(self, ctx) -> None:
-        """Restore cost paid at the destination: continue with rebind."""
-        ctx.complete_phase()
-
-    def _send_prestage(self, ctx) -> None:
-        """Packing cost paid: continue with the prestage transfer."""
-        ctx.complete_phase()
-
-    def _finish_prestage(self, ctx) -> None:
-        """Install cost paid at the destination: finish the prestage."""
-        ctx.complete_phase()
 
     def _count_failure(self, plan: MigrationPlan) -> None:
         """Counterpart of the ``migration.completed`` counter: without it

@@ -11,10 +11,8 @@ mis-ordered or incomplete stacks when the pipeline is *built* -- at
 deployment construction time, not when the first migration runs.
 
 The default ("direct") stack reproduces the classic monolithic behaviour
-event-for-event: phase hand-offs reuse the exact timer callbacks the
-monolith scheduled (``MobilityManager._wrap_and_send`` and friends are
-now thin continuations), so kernel traces -- and therefore the pinned
-sim and golden digests -- stay byte-identical.
+event-for-event: a phase that pays a sim-time cost schedules
+``ctx.complete_phase`` on the loop for when the cost is paid.
 
 The "fipa" stack inserts a pre-transfer ``propose/accept/reject``
 capability negotiation over ACL (platform kind, serialization version,
@@ -678,9 +676,7 @@ class SuspendPhase(MiddlewarePhase):
 
 
 class CapturePhase(MiddlewarePhase):
-    """Snapshot the application and pay the CPU-scaled suspension cost;
-    completion continues in ``MobilityManager._wrap_and_send`` (the
-    monolith's timer target, kept for trace identity)."""
+    """Snapshot the application and pay the CPU-scaled suspension cost."""
 
     name = "capture"
     contract = MiddlewareContract(requires=frozenset({"suspended"}),
@@ -703,7 +699,7 @@ class CapturePhase(MiddlewarePhase):
         else:
             suspend_cost = (config.clone_snapshot_base_ms
                             + config.snapshot_ms_per_mb * size_mb) * cpu
-        manager.loop.call_later(suspend_cost, manager._wrap_and_send, ctx)
+        manager.loop.call_later(suspend_cost, ctx.complete_phase)
 
 
 class TransferPhase(MiddlewarePhase):
@@ -805,8 +801,7 @@ class TransferPhase(MiddlewarePhase):
 
 class CheckinPhase(MiddlewarePhase):
     """Destination check-in: stamp the migrate phase, unwrap the cargo,
-    install or merge components, and pay the restore cost (completion
-    continues in ``MobilityManager._rebind_and_open``)."""
+    install or merge components, and pay the restore cost."""
 
     name = "checkin"
     contract = MiddlewareContract(requires=frozenset({"agent"}),
@@ -851,7 +846,7 @@ class CheckinPhase(MiddlewarePhase):
                        + config.rebind_ms_per_resource
                        * len(plan.resource_rebinds)
                        + config.adapt_ms) * cpu
-        manager.loop.call_later(resume_cost, manager._rebind_and_open, ctx)
+        manager.loop.call_later(resume_cost, ctx.complete_phase)
 
     def rollback(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -1047,8 +1042,7 @@ class PrestagePlanningPhase(MiddlewarePhase):
 
 
 class PackPhase(MiddlewarePhase):
-    """Open the prestage span and pay the packing cost (completion
-    continues in ``MobilityManager._send_prestage``)."""
+    """Open the prestage span and pay the packing cost."""
 
     name = "pack"
     contract = MiddlewareContract(requires=frozenset({"plan"}),
@@ -1071,7 +1065,7 @@ class PackPhase(MiddlewarePhase):
                 lambda o: end_outcome_spans(o, failed=o.failed))
         pack_cost = (manager.config.clone_snapshot_base_ms
                      * middleware.host.cpu_factor)
-        manager.loop.call_later(pack_cost, manager._send_prestage, ctx)
+        manager.loop.call_later(pack_cost, ctx.complete_phase)
 
 
 class PrestageTransferPhase(MiddlewarePhase):
@@ -1114,8 +1108,7 @@ class PrestageTransferPhase(MiddlewarePhase):
 
 class InstallPhase(MiddlewarePhase):
     """Destination check-in for a prestage package: unwrap, merge the
-    components and pay the install cost (completion continues in
-    ``MobilityManager._finish_prestage``)."""
+    components and pay the install cost."""
 
     name = "install"
     contract = MiddlewareContract(requires=frozenset({"agent"}),
@@ -1146,7 +1139,7 @@ class InstallPhase(MiddlewarePhase):
         ctx.dest_app = app
         install_cost = (manager.config.clone_snapshot_base_ms
                         * middleware.host.cpu_factor)
-        manager.loop.call_later(install_cost, manager._finish_prestage, ctx)
+        manager.loop.call_later(install_cost, ctx.complete_phase)
 
     def describe_error(self, ctx: MigrationContext,
                        exc: BaseException) -> str:
