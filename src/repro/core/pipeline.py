@@ -340,15 +340,13 @@ class MigrationContext:
 class MigrationPipeline:
     """An ordered, validated middleware stack plus its trampoline driver.
 
-    ``observe=True`` wraps every phase entry in a ``pipeline.phase`` span
-    and counter (used by the FIPA stack); the default stack leaves it off
-    so the pinned digests stay untouched.
+    With a hub attached, every phase entry records a ``pipeline.phase``
+    span and counter.
     """
 
     def __init__(self, name: str, phases: Sequence[MiddlewarePhase],
                  initial_keys: Iterable[str] = ("request",),
-                 required_final: Iterable[str] = ("resumed",),
-                 observe: bool = False):
+                 required_final: Iterable[str] = ("resumed",)):
         result = validate_middleware_stack(phases, initial_keys,
                                            required_final)
         if not result.ok:
@@ -358,7 +356,6 @@ class MigrationPipeline:
         self.name = name
         self.phases: List[MiddlewarePhase] = list(phases)
         self.initial_keys = tuple(initial_keys)
-        self.observe = observe
         self._handoff_index = next(
             i for i, p in enumerate(self.phases) if p.handoff)
 
@@ -403,9 +400,6 @@ class MigrationPipeline:
 
     def _run_phase(self, ctx: MigrationContext,
                    phase: MiddlewarePhase) -> None:
-        if not self.observe:
-            phase.run(ctx)
-            return
         obs = ctx.observability
         if obs is None:
             phase.run(ctx)
@@ -1212,9 +1206,8 @@ def migration_phases(protocol: str = "direct"
 def build_migration_pipeline(config) -> MigrationPipeline:
     """The migration stack for one middleware config (validated)."""
     protocol = getattr(config, "migration_protocol", "direct")
-    return MigrationPipeline(
-        f"migration/{protocol}", migration_phases(protocol),
-        observe=(protocol != "direct"))
+    return MigrationPipeline(f"migration/{protocol}",
+                             migration_phases(protocol))
 
 
 def build_prestage_pipeline(config) -> MigrationPipeline:

@@ -1,11 +1,12 @@
 """Middleware pipeline: the build-time contract validator and the stack
 builders.  That the default stack reproduces the pre-pipeline monolithic
-``migrate``/``prestage`` byte-for-byte is pinned by the ``scale`` row of
+``migrate``/``prestage`` behaviour is pinned by the ``scale`` row of
 ``tests/integration/test_pinned_digests.py``."""
 
 import pytest
 
-from repro.core import PipelineError
+from repro.apps.music_player import MusicPlayerApp
+from repro.core import Deployment, PipelineError
 from repro.core.pipeline import (
     MIDDLEWARE_CONTRACTS,
     MIGRATION_PROTOCOLS,
@@ -17,6 +18,7 @@ from repro.core.pipeline import (
     migration_phases,
     validate_middleware_stack,
 )
+from repro.obs import Observability
 
 MIGRATION_ORDER = ["admission", "planning", "negotiation", "suspend",
                    "capture", "transfer", "checkin", "rebind", "powerup"]
@@ -151,13 +153,32 @@ class TestPipelineConstruction:
 
         pipeline = build_migration_pipeline(Config())
         assert pipeline.name == "migration/fipa"
-        assert pipeline.observe is True
         Config.migration_protocol = "direct"
         default = build_migration_pipeline(Config())
         assert default.name == "migration/direct"
-        assert default.observe is False  # keeps test_pinned_digests stable
         prestage = build_prestage_pipeline(Config())
         assert [p.name for p in prestage.phases] == \
             ["admission", "planning", "pack", "transfer", "install",
              "finish"]
 
+    def test_direct_stacks_record_phase_telemetry(self):
+        obs = Observability(trace=False)
+        d = Deployment(seed=1, observability=obs)
+        d.add_space("lab")
+        src = d.add_host("host1", "lab")
+        d.add_host("host2", "lab")
+        d.add_host("host3", "lab")
+        src.launch_application(
+            MusicPlayerApp.build("player", "ann", track_bytes=40_000))
+        d.run_all()
+        assert src.prestage("player", "host3") is not None
+        d.run_all()
+        assert src.migrate("player", "host2") is not None
+        d.run_all()
+        phases = [dict(c.labels) for c in obs.metrics.counters()
+                  if c.name == "pipeline.phase" and c.value > 0]
+        assert {p["phase"] for p in phases
+                if p["pipeline"] == "migration/direct"} == set(MIGRATION_ORDER)
+        assert {p["phase"] for p in phases
+                if p["pipeline"] == "prestage/direct"} == {
+            "admission", "planning", "pack", "transfer", "install", "finish"}
