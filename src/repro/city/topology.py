@@ -200,8 +200,7 @@ def synthesize(spaces: int, seed: int = 0) -> CityTopology:
 
 def build_deployment(city: CityTopology, observability=None,
                      config=None, admission_limit: Optional[int] = None,
-                     federated: bool = False,
-                     registry_telemetry: bool = False):
+                     federated: bool = False):
     """Materialize a synthesized city as a live Deployment.
 
     The registry center gets a dedicated host in hub 0's space (installed
@@ -222,9 +221,6 @@ def build_deployment(city: CityTopology, observability=None,
                    config=config)
     if federated:
         d.enable_federated_registry(auto_shards=False)
-    if registry_telemetry:
-        from repro.registry.registry import enable_registry_telemetry
-        enable_registry_telemetry(d.network)
     first = city.spaces[0]
     d.add_space(first.name, lan=LAN_BY_KIND[first.kind])
     d.install_registry(first.name, host_name="registry")

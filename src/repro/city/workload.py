@@ -49,9 +49,6 @@ class CityConfig:
     #: Replace the flat registry center with per-space shards and
     #: gateway aggregators (see :mod:`repro.registry.federation`).
     federated_registry: bool = False
-    #: Opt into registry hook events + metrics (lookup latency, message
-    #: counts); off by default to keep trace digests byte-stable.
-    registry_telemetry: bool = False
     meeting_probability: float = 0.5
     #: Event budget for draining the day (full tier needs tens of
     #: millions; the kernel raises SimulationError beyond this).
@@ -163,8 +160,7 @@ class CityWorkload:
         self.deployment = build_deployment(
             self.city, observability=self.observability,
             admission_limit=config.admission_limit,
-            federated=config.federated_registry,
-            registry_telemetry=config.registry_telemetry)
+            federated=config.federated_registry)
         if config.prestage:
             self.deployment.enable_prestaging()
         self.population = Population(
@@ -282,13 +278,14 @@ class CityWorkload:
             self.observability = Observability(trace=False)
         self.build()
         d = self.deployment
+        # Settle launches first: the checkers' registry ledger must see
+        # each request it counts answered, and registration needs live
+        # apps.
+        d.run_all(max_events=self.config.max_events)
         checker = None
         if check_invariants:
             from repro.simcheck.invariants import InvariantChecker
             checker = InvariantChecker(d).install()
-        # Settle launches (and checker registration needs live apps).
-        d.run_all(max_events=self.config.max_events)
-        if checker is not None:
             for _host, app in d.application_instances():
                 checker.expect_application(app)
         t0 = d.loop.now

@@ -37,7 +37,6 @@ from repro.registry.registry import (
     RegistryClient,
     RegistryError,
     RegistryServer,
-    enable_registry_telemetry,
     install_registry,
 )
 from repro.registry.store import load_registry, save_registry
@@ -59,7 +58,6 @@ __all__ = [
     "RegistryShard",
     "ResourceRecord",
     "WRITE_OPERATIONS",
-    "enable_registry_telemetry",
     "install_registry",
     "load_registry",
     "save_registry",

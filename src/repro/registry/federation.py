@@ -39,7 +39,7 @@ from repro.registry.registry import (
     READ_OPERATIONS, REGISTRY_PROTOCOL, WRITE_OPERATIONS, _REQUEST_SIZE,
     _RESPONSE_SIZE, RegistryCenter, RegistryClient, RegistryError,
     count_registry_message, count_registry_request, emit_registry_event,
-    observe_lookup_latency, registry_telemetry_enabled)
+    observe_lookup_latency)
 
 #: App-lifecycle events that invalidate cached registry reads.  This is
 #: the invalidation seam PR 5 built for prestaging; the prestager and the
@@ -727,8 +727,6 @@ class RegistryFederation:
         self.deployment = deployment
         self.network: Network = deployment.network
         self.loop = deployment.loop
-        # Federated runs always account registry traffic.
-        self.network.registry_telemetry = True
         self.cache_ttl_ms = float(cache_ttl_ms)
         self.timeout_ms = float(timeout_ms)
         self.processing_delay_ms = float(processing_delay_ms)
@@ -894,8 +892,7 @@ class RegistryFederation:
             self._resource_gen += 1
         self._note_invalidation()
         obs = self.loop.observability
-        if (obs is not None and obs.hooks
-                and registry_telemetry_enabled(self.network)):
+        if obs is not None and obs.hooks:
             if app is not None:
                 obs.emit("registry.invalidate", scope="app", app=app,
                          gen=self._app_gen[app], space=space)
@@ -928,8 +925,7 @@ class RegistryFederation:
                        token: Any, where: str, host: str) -> None:
         self._counter("registry.cache.hit")
         obs = self.loop.observability
-        if (obs is not None and obs.hooks
-                and registry_telemetry_enabled(self.network)):
+        if obs is not None and obs.hooks:
             payload: Dict[str, Any] = {"operation": operation,
                                        "where": where, "host": host}
             if token and token[0] == "app":
@@ -944,7 +940,7 @@ class RegistryFederation:
 
     def _counter(self, name: str) -> None:
         obs = self.loop.observability
-        if obs is not None and registry_telemetry_enabled(self.network):
+        if obs is not None:
             obs.metrics.counter(name).inc()
 
     # -- leases --------------------------------------------------------------

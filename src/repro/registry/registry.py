@@ -46,27 +46,11 @@ class RegistryError(RuntimeError):
     """Raised on invalid registry operations."""
 
 
-# -- opt-in telemetry ---------------------------------------------------------
-#
-# Registry metrics and hook events are gated on a per-network flag so
-# that runs which pinned their trace digests before this instrumentation
-# existed (golden fixtures, pinned digests) are bit-for-bit unchanged.
-# The federation, the simcheck runner and ``registry_telemetry`` city
-# runs turn it on; everything else keeps the old wire behaviour.
-
-def enable_registry_telemetry(network: Network) -> None:
-    network.registry_telemetry = True
-
-
-def registry_telemetry_enabled(network: Network) -> bool:
-    return getattr(network, "registry_telemetry", False)
-
+# -- telemetry (recorded whenever a hub is attached) --------------------------
 
 def count_registry_message(network: Network, source: str,
                            destination: str) -> None:
     """Account one registry message, weighted by the links it traverses."""
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
     if obs is None:
         return
@@ -80,8 +64,6 @@ def count_registry_message(network: Network, source: str,
 
 
 def count_registry_request(network: Network) -> None:
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
     if obs is not None:
         obs.metrics.counter("registry.requests").inc()
@@ -90,16 +72,12 @@ def count_registry_request(network: Network) -> None:
 def emit_registry_event(network: Network, event: str, **payload: Any) -> None:
     """Ledger events (``registry.request``/``response``/``fail``) for the
     simcheck message-conservation invariant."""
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
     if obs is not None and obs.hooks:
         obs.emit(event, **payload)
 
 
 def observe_lookup_latency(network: Network, latency_ms: float) -> None:
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
     if obs is not None:
         obs.metrics.histogram("registry.lookup.latency_ms").observe(
@@ -374,8 +352,7 @@ class RegistryClient:
         loop = self.network.loop
         target = self.server_host if server is None else server
         count_registry_request(self.network)
-        if (operation in READ_OPERATIONS
-                and registry_telemetry_enabled(self.network)):
+        if operation in READ_OPERATIONS and loop.observability is not None:
             started = loop.now
             inner = callback
 

@@ -375,7 +375,6 @@ def run_scenario(scenario: Scenario, fresh_state: bool = True
     from repro.core import BindingPolicy
     from repro.core.errors import MiddlewareError, MigrationError
     from repro.obs import FlightRecorder, Observability
-    from repro.registry.registry import enable_registry_telemetry
 
     if fresh_state:
         reset_global_state()
@@ -383,10 +382,6 @@ def run_scenario(scenario: Scenario, fresh_state: bool = True
         scenario.federated_registry = True
     observability = Observability()
     deployment = build_deployment(scenario, observability=observability)
-    # Registry hook events feed the conservation and cache-coherence
-    # checkers; simcheck digests are only ever compared run-to-run, so
-    # the extra telemetry cannot drift any committed baseline.
-    enable_registry_telemetry(deployment.network)
     checker = InvariantChecker(deployment).install()
     # Black box: ring-buffer the hook stream and freeze it the instant the
     # first violation records, so the dump shows the breach's lead-up

@@ -102,8 +102,7 @@ def _registry_sweep(federated: bool) -> Tuple[Observability, Any]:
     global_every = 100
     obs = _observed()
     config = CityConfig.for_tier("quick", seed=11,
-                                 federated_registry=federated,
-                                 registry_telemetry=True)
+                                 federated_registry=federated)
     workload = CityWorkload(config, observability=obs)
     deployment = workload.build()
     deployment.run_all()
