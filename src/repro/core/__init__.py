@@ -59,7 +59,6 @@ from repro.core.middleware import (
     MiddlewareConfig,
 )
 from repro.core.mobile_agent import MDMobileAgent
-from repro.core.mobility import MobilityConfig, MobilityManager
 from repro.core.pipeline import (
     CAPABILITY_PROTOCOL,
     MIDDLEWARE_CONTRACTS,
@@ -69,6 +68,7 @@ from repro.core.pipeline import (
     MigrationContext,
     MigrationPipeline,
     MigrationRequest,
+    MobilityConfig,
     ValidationResult,
     build_migration_pipeline,
     build_prestage_pipeline,
@@ -122,7 +122,6 @@ __all__ = [
     "MigrationPlan",
     "MigrationRequest",
     "MobilityConfig",
-    "MobilityManager",
     "PhaseStats",
     "PipelineError",
     "PresentationComponent",

@@ -43,12 +43,13 @@ from repro.core.binding import (
 from repro.core.errors import MigrationError, MiddlewareError
 from repro.core.metrics import MigrationOutcome
 from repro.core.mobile_agent import MDMobileAgent
-from repro.core.mobility import MobilityConfig, MobilityManager
 from repro.core.pipeline import (
     MigrationContext,
     MigrationRequest,
+    MobilityConfig,
     build_migration_pipeline,
     build_prestage_pipeline,
+    receive,
 )
 from repro.core.profiles import DeviceProfile
 from repro.core.rulesets import default_migration_rules
@@ -147,7 +148,9 @@ class MDAgentMiddleware:
         self.snapshot_manager = SnapshotManager()
         self.adaptor = Adaptor()
         self.resolver = BindingResolver(self.config.data_carry_threshold_bytes)
-        self.mobility_manager = MobilityManager(self, self.config.mobility)
+        # Per-instance so identical deployments produce identical agent
+        # names (and therefore bit-identical wire sizes).
+        self._ma_seq = itertools.count(1)
         if deployment.federation is not None:
             self.registry_client = deployment.federation.client_for(host.name)
         elif self.config.registry_cache_ttl_ms > 0:
@@ -382,7 +385,7 @@ class MDAgentMiddleware:
         token = ma.plan.get("token", "")
         outcome = self.deployment.outcomes.get(token)
         try:
-            self.mobility_manager.receive(ma, outcome)
+            receive(self, ma, outcome)
         except Exception as exc:
             # Unwrapping failed (e.g. unregistered application type at the
             # destination); surface through the outcome instead of crashing

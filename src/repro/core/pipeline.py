@@ -10,8 +10,14 @@ power-up are separate :class:`MiddlewarePhase` objects with declared
 mis-ordered or incomplete stacks when the pipeline is *built* -- at
 deployment construction time, not when the first migration runs.
 
-The default ("direct") stack reproduces the classic monolithic behaviour
-event-for-event: a phase that pays a sim-time cost schedules
+The default ("direct") stack is the paper's Fig. 4 interaction: suspend
+(coordinator + snapshot manager), wrap (mobile agent), migrate (agent
+platform check-out / transfer / check-in), then unwrap, rebind, adapt and
+resume at the destination.  Outcome timestamps follow the paper's three
+measured segments: *suspension* (suspend + snapshot), *migration* (the
+mobile agent's journey) and *resumption* (restore + rebind + adapt +
+remote-data open).  A phase that pays a sim-time cost (scaled by
+:class:`MobilityConfig` and the host's CPU factor) schedules
 ``ctx.complete_phase`` on the loop for when the cost is paid.
 
 The "fipa" stack inserts a pre-transfer ``propose/accept/reject``
@@ -44,14 +50,103 @@ from typing import (
 )
 
 from repro.core.application import Application, AppStatus
-from repro.core.binding import BindingPolicy, MigrationKind, MigrationPlan
+from repro.core.binding import (
+    BindingPolicy,
+    MigrationKind,
+    MigrationPlan,
+    ResourceRebind,
+)
 from repro.core.errors import MigrationError, PipelineError
 from repro.core.metrics import MigrationOutcome
 from repro.core.mobile_agent import MDMobileAgent
-from repro.core.mobility import end_outcome_spans, plan_from_dict, plan_to_dict
 
 #: ACL protocol of the FIPA capability-negotiation exchange.
 CAPABILITY_PROTOCOL = "md-capability"
+
+
+@dataclass
+class MobilityConfig:
+    """Cost knobs for the application-level migration phases.
+
+    Calibrated so the paper's testbed regime (10 Mbps link, single-PC-class
+    hosts) lands near its reported phase magnitudes; all CPU-bound terms
+    scale with the host's ``cpu_factor``.
+    """
+
+    #: Suspension: stop the app + capture the snapshot.
+    suspend_base_ms: float = 90.0
+    snapshot_ms_per_mb: float = 25.0
+    #: Clone-dispatch does not stop the source app; it only snapshots.
+    clone_snapshot_base_ms: float = 25.0
+    #: Resumption: restore state, rebind resources, adapt, restart.
+    resume_base_ms: float = 180.0
+    restore_ms_per_mb: float = 40.0
+    rebind_ms_per_resource: float = 8.0
+    adapt_ms: float = 12.0
+    #: Remote data open ("played remotely through URL"): a fixed handshake
+    #: plus fetching this fraction of the file (seek tables / first buffer).
+    remote_open_base_ms: float = 100.0
+    remote_open_fraction: float = 0.04
+
+
+def plan_to_dict(plan: MigrationPlan) -> Dict[str, Any]:
+    """Plain-data wire form of a plan (rides inside the mobile agent)."""
+    return {
+        "app_name": plan.app_name,
+        "source": plan.source,
+        "destination": plan.destination,
+        "kind": plan.kind.value,
+        "policy": plan.policy.value,
+        "carry_components": list(plan.carry_components),
+        "reuse_components": list(plan.reuse_components),
+        "remote_data": list(plan.remote_data),
+        "remote_data_bytes": dict(plan.remote_data_bytes),
+        "resource_rebinds": [
+            {"binding_name": r.binding_name,
+             "original_resource": r.original_resource,
+             "target_resource": r.target_resource,
+             "mode": r.mode}
+            for r in plan.resource_rebinds],
+        "estimated_bytes": plan.estimated_bytes,
+        "token": plan.token,
+        "prestage": plan.prestage,
+    }
+
+
+def plan_from_dict(data: Dict[str, Any]) -> MigrationPlan:
+    return MigrationPlan(
+        app_name=data["app_name"],
+        source=data["source"],
+        destination=data["destination"],
+        kind=MigrationKind(data["kind"]),
+        policy=BindingPolicy(data["policy"]),
+        carry_components=list(data["carry_components"]),
+        reuse_components=list(data["reuse_components"]),
+        remote_data=list(data["remote_data"]),
+        remote_data_bytes=dict(data.get("remote_data_bytes", {})),
+        resource_rebinds=[
+            ResourceRebind(r["binding_name"], r["original_resource"],
+                           r["target_resource"], r["mode"])
+            for r in data["resource_rebinds"]],
+        estimated_bytes=data["estimated_bytes"],
+        token=data.get("token", ""),
+        prestage=data.get("prestage", False),
+    )
+
+
+def end_outcome_spans(outcome: MigrationOutcome, **attributes) -> None:
+    """Seal any observability spans still open on ``outcome``.
+
+    The phase spans (suspend/migrate/resume) and their ``app.migration``
+    root ride the outcome object across hosts; every failure path funnels
+    through :meth:`MigrationOutcome._finish`, so the suspend and pack
+    phases register this as an ``on_complete`` callback to guarantee no
+    span is left dangling.
+    """
+    for attr in ("_obs_phase", "_obs_root"):
+        span = getattr(outcome, attr, None)
+        if span is not None and not span.finished:
+            span.end(**attributes)
 
 
 # -- contracts --------------------------------------------------------------
@@ -435,6 +530,52 @@ class MigrationPipeline:
                 f"{[p.name for p in self.phases]}>")
 
 
+# -- shared phase helpers ---------------------------------------------------
+
+
+def receive(middleware, ma: MDMobileAgent,
+            outcome: Optional[MigrationOutcome]) -> None:
+    """Continue an arriving agent's pipeline past the hand-off phase.
+
+    When the source-side context travelled with the outcome (the normal
+    in-deployment case) the arrival completes its transfer phase;
+    otherwise a destination-only context is synthesised so agents from
+    foreign deployments still power up."""
+    ctx = None
+    if outcome is not None:
+        ctx = getattr(outcome, "_pipeline_ctx", None)
+    if ctx is None:
+        plan = plan_from_dict(ma.plan)
+        pipeline = (middleware.prestage_pipeline if plan.prestage
+                    else middleware.migration_pipeline)
+        ctx = pipeline.arrival_context(middleware, ma, outcome)
+    ctx.arrive(middleware, ma)
+
+
+def _count_failure(loop, plan: MigrationPlan) -> None:
+    """Counterpart of the ``migration.completed`` counter: without it a
+    scheduler-driven fleet cannot tell a quiet deployment from one whose
+    migrations all die in transit."""
+    obs = loop.observability
+    if obs is not None:
+        obs.metrics.counter("migration.failed", kind=plan.kind.value).inc()
+
+
+def _rollback(middleware, app: Application, snapshot,
+              outcome: MigrationOutcome) -> None:
+    """Fault tolerance: the agent was lost in transit -- restore the
+    stopped source instance from its own snapshot and resume it, so the
+    user keeps a working application ("stronger resilience capability",
+    paper §1)."""
+    if app.status is not AppStatus.INSTALLED:
+        return  # nothing to roll back (clone, or already restarted)
+    middleware.snapshot_manager.restore(app, snapshot)
+    app.start(middleware)
+    middleware.publish_app_event(app, "rolled-back")
+    outcome.log(f"rolled back {app.name} at source "
+                f"{middleware.host_name} after transfer failure")
+
+
 # -- migration phases -------------------------------------------------------
 
 
@@ -616,7 +757,7 @@ class SuspendPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.app
         plan = ctx.plan
         outcome = ctx.outcome
@@ -627,9 +768,8 @@ class SuspendPhase(MiddlewarePhase):
             raise MigrationError(
                 f"plan source {plan.source!r} is not this host "
                 f"{middleware.host_name!r}")
-        manager.migrations_started += 1
-        outcome.started_at = manager.loop.now
-        obs = manager.loop.observability
+        outcome.started_at = loop.now
+        obs = loop.observability
         if obs is not None:
             # The phase spans carry exactly the timestamps that feed the
             # outcome's suspend/migrate/resume figures (Fig. 8/9 series):
@@ -648,7 +788,7 @@ class SuspendPhase(MiddlewarePhase):
         if plan.kind is MigrationKind.FOLLOW_ME:
             app.suspend()
             ctx._suspended_here = True
-            outcome.log(f"suspended {app.name} at {manager.loop.now:.1f}")
+            outcome.log(f"suspended {app.name} at {loop.now:.1f}")
         ctx.complete_phase()
 
     def rollback(self, ctx: MigrationContext) -> None:
@@ -678,13 +818,13 @@ class CapturePhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
-        manager = middleware.mobility_manager
-        config = manager.config
+        loop = middleware.loop
+        config = middleware.config.mobility
         app = ctx.app
         plan = ctx.plan
         cpu = middleware.host.cpu_factor
         snapshot = middleware.snapshot_manager.capture(
-            app, now=manager.loop.now)
+            app, now=loop.now)
         ctx.snapshot = snapshot
         size_mb = snapshot.size_bytes / 1e6
         if plan.kind is MigrationKind.FOLLOW_ME:
@@ -693,7 +833,7 @@ class CapturePhase(MiddlewarePhase):
         else:
             suspend_cost = (config.clone_snapshot_base_ms
                             + config.snapshot_ms_per_mb * size_mb) * cpu
-        manager.loop.call_later(suspend_cost, ctx.complete_phase)
+        loop.call_later(suspend_cost, ctx.complete_phase)
 
 
 class TransferPhase(MiddlewarePhase):
@@ -709,13 +849,13 @@ class TransferPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.app
         plan = ctx.plan
         outcome = ctx.outcome
         snapshot = ctx.snapshot
         ctx._transfer_started = True
-        outcome.suspend_done_at = manager.loop.now
+        outcome.suspend_done_at = loop.now
         root = getattr(outcome, "_obs_root", None)
         if root is not None:
             outcome._obs_phase.end(host=middleware.host)
@@ -750,7 +890,7 @@ class TransferPhase(MiddlewarePhase):
             if app.has_component(rebind.binding_name):
                 manifest["components"].append(
                     app.component(rebind.binding_name).to_dict())
-        ma_name = f"ma-{plan.app_name}-{next(manager._ma_seq)}"
+        ma_name = f"ma-{plan.app_name}-{next(middleware._ma_seq)}"
         ma = middleware.container.create_agent(MDMobileAgent, ma_name)
         ma.load_cargo(manifest, snapshot.to_dict(), plan_to_dict(plan))
         ctx.ma = ma
@@ -770,7 +910,7 @@ class TransferPhase(MiddlewarePhase):
                 outcome.log(f"transfer recovery: {entry}")
             if r.failed:
                 ctx.fail(r.failure_reason,
-                         before_finish=lambda: manager._count_failure(plan))
+                         before_finish=lambda: _count_failure(loop, plan))
 
         result.on_complete(on_moved)
         if plan.kind is MigrationKind.FOLLOW_ME:
@@ -789,8 +929,7 @@ class TransferPhase(MiddlewarePhase):
             return
         plan = ctx.plan
         if plan is not None and plan.kind is MigrationKind.FOLLOW_ME:
-            middleware.mobility_manager._rollback(ctx.app, ctx.snapshot,
-                                                  ctx.outcome)
+            _rollback(middleware, ctx.app, ctx.snapshot, ctx.outcome)
 
 
 class CheckinPhase(MiddlewarePhase):
@@ -804,13 +943,13 @@ class CheckinPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         ma = ctx.ma
         outcome = ctx.outcome
         plan = ctx.arrived_plan
         manifest = ma.manifest
         snapshot_data = ma.snapshot
-        now = manager.loop.now
+        now = loop.now
         if outcome is not None:
             outcome.migrate_done_at = now
             outcome.log(f"mobile agent {ma.local_name} checked in at "
@@ -832,7 +971,7 @@ class CheckinPhase(MiddlewarePhase):
                 outcome.log(f"merged carried components: {merged}")
         ctx.dest_app = app
         ctx.snapshot_data = snapshot_data
-        config = manager.config
+        config = middleware.config.mobility
         cpu = middleware.host.cpu_factor
         size_mb = snapshot_data.get("size_bytes", 0) / 1e6
         resume_cost = (config.resume_base_ms
@@ -840,7 +979,7 @@ class CheckinPhase(MiddlewarePhase):
                        + config.rebind_ms_per_resource
                        * len(plan.resource_rebinds)
                        + config.adapt_ms) * cpu
-        manager.loop.call_later(resume_cost, ctx.complete_phase)
+        loop.call_later(resume_cost, ctx.complete_phase)
 
     def rollback(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -869,7 +1008,7 @@ class RebindPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.dest_app
         plan = ctx.arrived_plan
         outcome = ctx.outcome
@@ -886,9 +1025,9 @@ class RebindPhase(MiddlewarePhase):
             # "They will be played remotely through URL in the original
             # host": open the stream by fetching the initial fraction.
             fetch_bytes = int(remote_total
-                              * manager.config.remote_open_fraction)
-            manager.loop.call_later(
-                manager.config.remote_open_base_ms,
+                              * middleware.config.mobility.remote_open_fraction)
+            loop.call_later(
+                middleware.config.mobility.remote_open_base_ms,
                 middleware.fetch_remote_data, plan.source, plan.app_name,
                 fetch_bytes, ctx.complete_phase, ctx.fail)
             if outcome is not None:
@@ -911,7 +1050,7 @@ class PowerUpPhase(MiddlewarePhase):
         from repro.core.snapshot import Snapshot
 
         middleware = ctx.destination_middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.dest_app
         plan = ctx.arrived_plan
         outcome = ctx.outcome
@@ -946,9 +1085,9 @@ class PowerUpPhase(MiddlewarePhase):
             lambda result, error: None)
         middleware.publish_app_event(app, "resumed")
         if outcome is not None:
-            outcome.resume_done_at = manager.loop.now
+            outcome.resume_done_at = loop.now
             outcome.completed = True
-            obs = manager.loop.observability
+            obs = loop.observability
             if obs is not None:
                 end_outcome_spans(outcome, host=middleware.host,
                                   bytes=outcome.bytes_transferred)
@@ -1044,12 +1183,12 @@ class PackPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         plan = ctx.plan
         outcome = ctx.outcome
         plan.prestage = True
-        outcome.started_at = manager.loop.now
-        obs = manager.loop.observability
+        outcome.started_at = loop.now
+        obs = loop.observability
         if obs is not None:
             outcome._obs_root = obs.tracer.begin_span(
                 "app.prestage", category="migration",
@@ -1057,9 +1196,9 @@ class PackPhase(MiddlewarePhase):
                 source=plan.source, destination=plan.destination)
             outcome.on_complete(
                 lambda o: end_outcome_spans(o, failed=o.failed))
-        pack_cost = (manager.config.clone_snapshot_base_ms
+        pack_cost = (middleware.config.mobility.clone_snapshot_base_ms
                      * middleware.host.cpu_factor)
-        manager.loop.call_later(pack_cost, ctx.complete_phase)
+        loop.call_later(pack_cost, ctx.complete_phase)
 
 
 class PrestageTransferPhase(MiddlewarePhase):
@@ -1074,18 +1213,18 @@ class PrestageTransferPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.app
         plan = ctx.plan
         outcome = ctx.outcome
-        outcome.suspend_done_at = manager.loop.now
+        outcome.suspend_done_at = loop.now
         manifest = app.to_manifest(plan.carry_components)
         empty_snapshot = {
             "app_name": app.name, "snapshot_id": 0,
-            "taken_at": manager.loop.now, "coordinator_state": {},
+            "taken_at": loop.now, "coordinator_state": {},
             "app_state": {}, "component_versions": {}, "size_bytes": 64,
         }
-        ma_name = f"pre-{plan.app_name}-{next(manager._ma_seq)}"
+        ma_name = f"pre-{plan.app_name}-{next(middleware._ma_seq)}"
         ma = middleware.container.create_agent(MDMobileAgent, ma_name)
         ma.load_cargo(manifest, empty_snapshot, plan_to_dict(plan))
         ctx.ma = ma
@@ -1095,7 +1234,7 @@ class PrestageTransferPhase(MiddlewarePhase):
         def on_moved(r):
             if r.failed:
                 ctx.fail(r.failure_reason,
-                         before_finish=lambda: manager._count_failure(plan))
+                         before_finish=lambda: _count_failure(loop, plan))
 
         result.on_complete(on_moved)
 
@@ -1111,12 +1250,12 @@ class InstallPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         ma = ctx.ma
         outcome = ctx.outcome
         plan = ctx.arrived_plan
         manifest = ma.manifest
-        now = manager.loop.now
+        now = loop.now
         if outcome is not None:
             outcome.migrate_done_at = now
             outcome.log(f"mobile agent {ma.local_name} checked in at "
@@ -1131,9 +1270,9 @@ class InstallPhase(MiddlewarePhase):
             if outcome is not None and merged:
                 outcome.log(f"merged carried components: {merged}")
         ctx.dest_app = app
-        install_cost = (manager.config.clone_snapshot_base_ms
+        install_cost = (middleware.config.mobility.clone_snapshot_base_ms
                         * middleware.host.cpu_factor)
-        manager.loop.call_later(install_cost, ctx.complete_phase)
+        loop.call_later(install_cost, ctx.complete_phase)
 
     def describe_error(self, ctx: MigrationContext,
                        exc: BaseException) -> str:
@@ -1152,7 +1291,7 @@ class PrestageFinishPhase(MiddlewarePhase):
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
-        manager = middleware.mobility_manager
+        loop = middleware.loop
         app = ctx.dest_app
         plan = ctx.arrived_plan
         outcome = ctx.outcome
@@ -1162,7 +1301,7 @@ class PrestageFinishPhase(MiddlewarePhase):
             {"record": middleware._application_record(app).to_dict()},
             lambda result, error: None)
         if outcome is not None:
-            outcome.resume_done_at = manager.loop.now
+            outcome.resume_done_at = loop.now
             outcome.completed = True
             outcome.log(f"prestaged {plan.carry_components} on "
                         f"{middleware.host_name}")

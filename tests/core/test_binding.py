@@ -9,7 +9,7 @@ from repro.core.binding import (
     MigrationKind,
 )
 from repro.core.errors import MigrationError
-from repro.core.mobility import plan_from_dict, plan_to_dict
+from repro.core.pipeline import plan_from_dict, plan_to_dict
 
 
 def player(track_bytes=5_000_000):

@@ -14,7 +14,7 @@ from repro.core.components import (
     ResourceBinding,
 )
 from repro.core.coordinator import Coordinator
-from repro.core.mobility import plan_from_dict, plan_to_dict
+from repro.core.pipeline import plan_from_dict, plan_to_dict
 from repro.core.snapshot import Snapshot
 
 names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
