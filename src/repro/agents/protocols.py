@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional
 
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.behaviours import Behaviour
+from repro.net.simnet import HostOfflineError, UnreachableHostError
 
 #: Handler signature for responders: (request) -> (agree: bool, payload).
 RequestHandler = Callable[[ACLMessage], "ResponderDecision"]
@@ -465,6 +466,16 @@ class ProposeInitiator(Behaviour):
         return self.state == "done"
 
 
+def _send_reply(agent, reply: ACLMessage) -> None:
+    """Send a responder's reply, dropping (and counting) one that cannot be
+    routed -- e.g. across a partition.  The initiator's own deadline then
+    fails the exchange, exactly as for a reply lost in flight."""
+    try:
+        agent.send(reply)
+    except (UnreachableHostError, HostOfflineError):
+        agent.container.platform.messages_failed += 1
+
+
 class ProposeResponder(Behaviour):
     """Serves FIPA proposals for one protocol, forever.
 
@@ -493,11 +504,11 @@ class ProposeResponder(Behaviour):
         accept, payload = self.handler(message)
         if accept:
             self.accepted += 1
-            self.agent.send(message.create_reply(
+            _send_reply(self.agent, message.create_reply(
                 Performative.ACCEPT_PROPOSAL, payload))
         else:
             self.rejected += 1
-            self.agent.send(message.create_reply(
+            _send_reply(self.agent, message.create_reply(
                 Performative.REJECT_PROPOSAL, payload))
 
     def done(self) -> bool:
@@ -528,24 +539,25 @@ class RequestResponder(Behaviour):
         self.served += 1
         decision = self.handler(message)
         if not decision.agree:
-            self.agent.send(message.create_reply(Performative.REFUSE,
-                                                 decision.payload))
+            _send_reply(self.agent, message.create_reply(
+                Performative.REFUSE, decision.payload))
             return
-        self.agent.send(message.create_reply(Performative.AGREE))
+        _send_reply(self.agent, message.create_reply(Performative.AGREE))
         if decision.deferred:
             agent = self.agent
 
             def finish(d: ResponderDecision) -> None:
                 performative = (Performative.FAILURE if d.failed
                                 else Performative.INFORM)
-                agent.send(message.create_reply(performative, d.payload))
+                _send_reply(agent, message.create_reply(performative,
+                                                        d.payload))
 
             decision._complete_callback = finish
         else:
             performative = (Performative.FAILURE if decision.failed
                             else Performative.INFORM)
-            self.agent.send(message.create_reply(performative,
-                                                 decision.payload))
+            _send_reply(self.agent, message.create_reply(performative,
+                                                         decision.payload))
 
     def done(self) -> bool:
         return False

@@ -50,6 +50,16 @@ class TestFipaScenarios:
             assert report.ok, (protocol,
                                [str(v) for v in report.violations])
 
+    def test_unroutable_proposal_reply_times_out_cleanly(self):
+        """Seed 8666: a partition cuts the destination's ACCEPT-PROPOSAL
+        off from the proposer.  The reply is dropped, not raised out of
+        the event loop, and the initiator's deadline fails the leg."""
+        report = run_scenario(generate_scenario(8666))
+        assert report.ok, [str(v) for v in report.violations]
+        failed = [leg for leg in report.legs if leg.status == "failed"]
+        assert [leg.detail for leg in failed] == [
+            "capability negotiation with h10 timed out"]
+
 
 class TestWedgedMigrationSabotage:
     def test_hook_registered_with_its_violation(self):
