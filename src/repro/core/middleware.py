@@ -111,8 +111,8 @@ class MiddlewareConfig:
     accepted_platform_kinds: Tuple[str, ...] = ()
     #: Deadline for one FIPA negotiation round trip.
     negotiation_timeout_ms: float = 5_000.0
-    #: Per-attempt deadline on remote-data fetches; 0 keeps the classic
-    #: no-deadline behaviour (the default, so pinned traces are stable).
+    #: Per-attempt deadline on remote-data fetches; 0 (the default) keeps
+    #: the classic no-deadline behaviour.
     remote_fetch_timeout_ms: float = 0.0
     #: Fetch attempts (with the platform cost model's seeded backoff)
     #: before the failure is reported to the caller.
@@ -175,9 +175,7 @@ class MDAgentMiddleware:
             MDMobileAgentManager, f"mam-{host.name}")
         self.mam.attach(self)
         if self.config.migration_protocol == "fipa":
-            # Only the FIPA protocol serves capability proposals; the
-            # default deployment registers no extra behaviour so its
-            # kernel trace stays byte-identical to the monolith's.
+            # Only the FIPA protocol serves capability proposals.
             self.mam.enable_capability_responder()
         # Context bridges: location events and explicit user commands wake
         # the AA; network probes feed the response-time cache Rule 3

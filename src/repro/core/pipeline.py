@@ -673,7 +673,7 @@ class PlanningPhase(MiddlewarePhase):
 class DirectNegotiationPhase(MiddlewarePhase):
     """The classic protocol: the destination middleware is assumed
     homogeneous, so the capability grant is implicit and free -- no
-    events, no messages, no digest drift."""
+    events, no messages."""
 
     name = "negotiation"
     contract = MiddlewareContract(requires=frozenset({"plan"}),

@@ -85,10 +85,8 @@ class EventLoop:
     #: binned and only heapified when their bucket becomes the earliest.
     _BUCKET_MS = 1024.0
     #: Tombstone compaction trigger: at least this many cancelled entries
-    #: *and* tombstones at least half the queue.  High on purpose -- small
-    #: scenarios (including the frozen goldens, whose queue never exceeds a
-    #: dozen entries) must never observe a compaction, because the raw
-    #: :attr:`heap_depth` gauge is part of their pinned traces.
+    #: *and* tombstones at least half the queue, so small queues never pay
+    #: for a compaction pass.
     _COMPACT_MIN_DEAD = 256
 
     def __init__(self, start_time: float = 0.0):

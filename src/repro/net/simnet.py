@@ -18,9 +18,8 @@ A protocol is *bulk* only if registered via :func:`register_bulk_protocol`
 (the agent transfer and middleware data-streaming protocols register
 themselves); everything else is control.  When a single bulk flow has the
 wire to itself the engine reproduces the historical exclusive-reservation
-arithmetic exactly -- timings, RNG draw order and event pattern are
-byte-identical to the pre-contention model (the frozen goldens in
-``tests/faults/golden/`` pin this).
+arithmetic exactly -- timings, RNG draw order and event pattern match the
+pre-contention model.
 
 Multi-hop routes (e.g. across an inter-space gateway) are store-and-forward:
 each hop is charged in sequence, plus any per-gateway processing delay that
@@ -1158,8 +1157,7 @@ class Network:
     def _observe_contention(self, obs, link: Link) -> None:
         """Sample the contention gauges for one link.
 
-        Only emitted while bulk flows actually contend, so uncontended
-        runs (including the frozen goldens) record no new series.
+        Only emitted while bulk flows actually contend.
         """
         label = f"{link.a}<->{link.b}"
         metrics = obs.metrics
