@@ -552,6 +552,24 @@ def receive(middleware, ma: MDMobileAgent,
     ctx.arrive(middleware, ma)
 
 
+def _mint_outcome(ctx: MigrationContext, app: Application,
+                  provisional: MigrationPlan) -> None:
+    """Register a new outcome under a fresh deployment token; the
+    behaviour ledger records its terminal state."""
+    deployment = ctx.middleware.deployment
+    outcome = MigrationOutcome(provisional)
+    token = deployment.new_outcome_token(provisional.app_name)
+    deployment.outcomes[token] = outcome
+    outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
+    obs = ctx.observability
+    if obs is not None:
+        outcome.on_complete(lambda o: obs.ledger.outcome(token, o))
+    ctx.app = app
+    ctx.outcome = outcome
+    ctx.token = token
+    ctx.complete_phase()
+
+
 def _count_failure(loop, plan: MigrationPlan) -> None:
     """Counterpart of the ``migration.completed`` counter: without it a
     scheduler-driven fleet cannot tell a quiet deployment from one whose
@@ -601,24 +619,6 @@ class AdmissionPhase(MiddlewarePhase):
         _mint_outcome(ctx, app, MigrationPlan(
             request.app_name, middleware.host_name, request.destination,
             request.kind, request.policy))
-
-
-def _mint_outcome(ctx: MigrationContext, app: Application,
-                  provisional: MigrationPlan) -> None:
-    """Register a new outcome under a fresh deployment token; the
-    behaviour ledger records its terminal state."""
-    deployment = ctx.middleware.deployment
-    outcome = MigrationOutcome(provisional)
-    token = deployment.new_outcome_token(provisional.app_name)
-    deployment.outcomes[token] = outcome
-    outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
-    obs = ctx.observability
-    if obs is not None:
-        outcome.on_complete(lambda o: obs.ledger.outcome(token, o))
-    ctx.app = app
-    ctx.outcome = outcome
-    ctx.token = token
-    ctx.complete_phase()
 
 
 class PlanningPhase(MiddlewarePhase):
