@@ -4,6 +4,7 @@ planted defect whose invariant fires moves it."""
 
 import pytest
 
+import repro.obs
 from repro.obs import Observability
 from repro.simcheck import (
     SABOTAGE_HOOKS,
@@ -44,21 +45,13 @@ class _InertRecorder:
         return []
 
 
-def _untraced(monkeypatch):
-    import repro.obs
-
-    monkeypatch.setattr(repro.obs, "Observability",
-                        lambda: Observability(trace=False))
-
-
 class TestInvariance:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tracing_and_checkers_do_not_move_the_digest(self, seed,
                                                          monkeypatch):
-        import repro.obs
-
         traced = run_scenario(generate_scenario(seed)).digest
-        _untraced(monkeypatch)
+        monkeypatch.setattr(repro.obs, "Observability",
+                            lambda: Observability(trace=False))
         untraced = run_scenario(generate_scenario(seed)).digest
         monkeypatch.setattr(runner, "InvariantChecker", _InertChecker)
         monkeypatch.setattr(repro.obs, "FlightRecorder", _InertRecorder)
