@@ -2,6 +2,7 @@
 keeps the conservation invariants green and leaves the application
 running somewhere (satellite of the pipeline refactor)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.music_player import MusicPlayerApp
@@ -34,6 +35,12 @@ def checked_deployment(seed, track_bytes):
     return d, src, checker
 
 
+def open_spans(d):
+    """Migration and agent spans the failure left unfinished."""
+    return [s.name for s in d.observability.tracer.spans
+            if s.category in ("migration", "agent") and not s.finished]
+
+
 class TestMigrationFailpoints:
     @given(phase=st.sampled_from(MIGRATION_FAILPOINTS),
            track_kb=st.sampled_from([40, 600, 2_000]),
@@ -56,6 +63,15 @@ class TestMigrationFailpoints:
         # migrations: the full quiescence sweep stays green.
         violations = checker.check_quiescent()
         assert not violations, (phase, [str(v) for v in violations])
+
+    @pytest.mark.parametrize("phase", MIGRATION_FAILPOINTS)
+    def test_injected_failure_seals_every_span(self, phase):
+        d, src, _ = checked_deployment(0, 600_000)
+        src.pipeline_failpoints = frozenset({phase})
+        outcome = src.migrate("player", "host2")
+        d.run_all()
+        assert outcome.failed
+        assert not open_spans(d), phase
 
     @given(phase=st.sampled_from(MIGRATION_FAILPOINTS),
            seed=st.integers(min_value=0, max_value=3))
@@ -93,3 +109,12 @@ class TestPrestageFailpoints:
         assert src.application("player").status is AppStatus.RUNNING
         violations = checker.check_quiescent()
         assert not violations, (phase, [str(v) for v in violations])
+
+    @pytest.mark.parametrize("phase", PRESTAGE_FAILPOINTS)
+    def test_injected_failure_seals_every_span(self, phase):
+        d, src, _ = checked_deployment(0, 600_000)
+        src.pipeline_failpoints = frozenset({phase})
+        outcome = src.prestage("player", "host2")
+        d.run_all()
+        assert outcome.failed
+        assert not open_spans(d), phase
