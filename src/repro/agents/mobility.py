@@ -136,8 +136,60 @@ class CostModel:
 TransferCostModel = CostModel
 
 
+class Outcome:
+    """Completion callbacks and the span pair shared by every outcome.
+
+    One root span covers the whole operation and one phase span at a time
+    hangs under it.  Both ride on the outcome, which travels the whole
+    protocol in-process, so each step can close its phase and open the
+    next with the arriving host's local clock stamp (the Fig. 7 raw
+    readings).  A plain mixin, not a dataclass: on Python 3.9 a dataclass
+    base with defaulted fields rejects the subclasses' required fields.
+    """
+
+    _callbacks: tuple = ()
+    _root_span = None
+    _phase_span = None
+
+    def on_complete(self, callback: Callable) -> None:
+        if self.completed or self.failed:
+            callback(self)
+        else:
+            self._callbacks += (callback,)
+
+    def _finish(self) -> None:
+        callbacks, self._callbacks = self._callbacks, ()
+        for callback in callbacks:
+            callback(self)
+
+    def begin_spans(self, obs, name: str, category: str, host,
+                    **attributes) -> None:
+        """Open the root span (a no-op without a hub)."""
+        if obs is not None:
+            self._root_span = obs.tracer.begin_span(
+                name, category=category, host=host, **attributes)
+
+    def next_span(self, name: str, host, **attributes) -> None:
+        """Close the current phase span and open ``name`` under the root."""
+        root = self._root_span
+        if root is None or root.finished:
+            return
+        self.end_phase_span(host)
+        self._phase_span = root.child(name, host=host, **attributes)
+
+    def end_phase_span(self, host=None, **attributes) -> None:
+        if self._phase_span is not None:
+            self._phase_span.end(host=host, **attributes)
+
+    def end_spans(self, host=None, **attributes) -> None:
+        """Seal the phase and root spans (success or failure)."""
+        self.end_phase_span(host, **attributes)
+        if self._root_span is not None:
+            self._root_span.end(host=host, **attributes)
+
+
 @dataclass
-class MigrationResult:
+class MigrationResult(Outcome):
     """Observable outcome of one move; completed asynchronously."""
 
     agent_name: str
@@ -169,20 +221,7 @@ class MigrationResult:
     #: time.  Only estimated when ``transfer_window > 1``.
     pipelined_saved_ms: float = 0.0
     recovery_log: List[str] = field(default_factory=list, repr=False)
-    _callbacks: List[Callable[["MigrationResult"], None]] = field(
-        default_factory=list, repr=False)
     _arrived: bool = field(default=False, repr=False)
-
-    def on_complete(self, callback: Callable[["MigrationResult"], None]) -> None:
-        if self.completed or self.failed:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-    def _finish(self) -> None:
-        for callback in self._callbacks:
-            callback(self)
-        self._callbacks.clear()
 
     @property
     def total_ms(self) -> float:
@@ -270,49 +309,6 @@ class MobilityService:
         container.host.register_handler(TRANSFER_PROTOCOL,
                                         lambda m: self._on_transfer(container, m))
 
-    # -- observability ----------------------------------------------------------
-
-    def _begin_obs(self, result: MigrationResult, kind: str, host) -> None:
-        """Open the agent-migration span pair (root + check-out phase).
-
-        Spans ride on the result object, which travels the whole protocol
-        in-process, so each step can close its phase and open the next with
-        the arriving host's local clock stamp (the Fig. 7 raw readings).
-        """
-        obs = self.platform.loop.observability
-        if obs is None:
-            return
-        root = obs.tracer.begin_span(
-            f"agent.{kind}", category="agent", host=host,
-            agent=result.agent_name, source=result.source,
-            destination=result.destination, bytes=result.size_bytes)
-        result._obs_root = root
-        result._obs_phase = root.child("agent.checkout", host=host)
-
-    @staticmethod
-    def _obs_next_phase(result: MigrationResult, name: str, host,
-                        **attributes) -> None:
-        """Close the current phase span and open the next one."""
-        root = getattr(result, "_obs_root", None)
-        if root is None:
-            return
-        phase = result._obs_phase
-        if not phase.finished:
-            phase.end(host=host)
-        result._obs_phase = root.child(name, host=host, **attributes)
-
-    @staticmethod
-    def _obs_finish(result: MigrationResult, host=None, **attributes) -> None:
-        """Seal the phase and root spans (success or failure)."""
-        root = getattr(result, "_obs_root", None)
-        if root is None:
-            return
-        phase = result._obs_phase
-        if not phase.finished:
-            phase.end(host=host, **attributes)
-        if not root.finished:
-            root.end(host=host, **attributes)
-
     # -- move -------------------------------------------------------------------
 
     def move(self, agent: Agent, destination_host: str) -> MigrationResult:
@@ -337,7 +333,12 @@ class MobilityService:
             started_at=loop.now,
         )
         self.moves_started += 1
-        self._begin_obs(result, "move", container.host)
+        result.begin_spans(loop.observability, "agent.move", "agent",
+                           container.host, agent=result.agent_name,
+                           source=result.source,
+                           destination=result.destination,
+                           bytes=result.size_bytes)
+        result.next_span("agent.checkout", container.host)
         agent.state = AgentState.TRANSIT
         checkout = self.cost_model.checkout_ms(snapshot.size_bytes,
                                                container.host.cpu_factor)
@@ -368,7 +369,12 @@ class MobilityService:
             started_at=loop.now,
             clone_name=new_name,
         )
-        self._begin_obs(result, "clone", container.host)
+        result.begin_spans(loop.observability, "agent.clone", "agent",
+                           container.host, agent=result.agent_name,
+                           source=result.source,
+                           destination=result.destination,
+                           bytes=result.size_bytes)
+        result.next_span("agent.checkout", container.host)
         checkout = self.cost_model.checkout_ms(snapshot.size_bytes,
                                                container.host.cpu_factor)
         # The original keeps running; only the snapshot departs.
@@ -424,9 +430,8 @@ class MobilityService:
         if len(sizes) <= 1:
             # Unchunked (or degenerate zero-byte) transfer: one message
             # carries everything.
-            self._obs_next_phase(result, "agent.transfer",
-                                 transfer.container.host,
-                                 attempt=transfer.attempt)
+            result.next_span("agent.transfer", transfer.container.host,
+                             attempt=transfer.attempt)
 
             def on_dropped(receipt):
                 self.transfers_dropped += 1
@@ -499,11 +504,10 @@ class MobilityService:
             return False  # the pump will re-raise and handle it
         if receipts is None:
             return False
-        self._obs_next_phase(result, "agent.transfer",
-                             transfer.container.host,
-                             attempt=transfer.attempt, chunk=base,
-                             chunks=len(sizes), window=window,
-                             in_flight=transfer.in_flight, batched=count)
+        result.next_span("agent.transfer", transfer.container.host,
+                         attempt=transfer.attempt, chunk=base,
+                         chunks=len(sizes), window=window,
+                         in_flight=transfer.in_flight, batched=count)
         transfer.analytic = True
         transfer.in_flight += count
         transfer.next_to_send = base + count
@@ -547,8 +551,7 @@ class MobilityService:
         if window > 1:
             attrs["window"] = window
             attrs["in_flight"] = transfer.in_flight
-        self._obs_next_phase(result, "agent.transfer",
-                             transfer.container.host, **attrs)
+        result.next_span("agent.transfer", transfer.container.host, **attrs)
         final = seq == len(sizes) - 1
         payload = ("chunk", transfer.transfer_id, seq, len(sizes),
                    (transfer.snapshot, transfer.carried, transfer.kind,
@@ -675,9 +678,7 @@ class MobilityService:
                        f"after {transfer.attempt + 1} attempts", transfer)
             return
         if lost_phase:
-            phase = getattr(result, "_obs_phase", None)
-            if phase is not None and not phase.finished:
-                phase.end(lost=True)
+            result.end_phase_span(lost=True)
         transfer.attempt += 1
         result.transfer_retries += 1
         self.transfer_retries += 1
@@ -705,7 +706,7 @@ class MobilityService:
             key = (result.destination, transfer.transfer_id)
             self._rx_chunks.pop(key, None)
             self._mark_rx_done(key)
-        self._obs_finish(result, failed=True, reason=reason)
+        result.end_spans(failed=True, reason=reason)
         result._finish()
 
     #: Bounds for receiver-side bookkeeping: backstops against pathological
@@ -766,7 +767,7 @@ class MobilityService:
         if obs is not None:
             obs.metrics.histogram("agent.transfer_ms").observe(
                 result.arrived_at - result.checked_out_at)
-        self._obs_next_phase(result, "agent.checkin", container.host)
+        result.next_span("agent.checkin", container.host)
         checkin = self.cost_model.checkin_ms(snapshot.size_bytes,
                                              container.host.cpu_factor)
         loop.call_later(checkin, self._check_in, container, snapshot,
@@ -790,11 +791,7 @@ class MobilityService:
         try:
             agent = snapshot.instantiate()
         except Exception as exc:  # registration/restore failures surface here
-            result.failed = True
-            result.failure_reason = str(exc)
-            self._obs_finish(result, host=container.host, failed=True,
-                             reason=str(exc))
-            result._finish()
+            self._fail(result, str(exc))
             return
         agent.state = AgentState.TRANSIT
         container.add_agent(agent)
@@ -813,5 +810,5 @@ class MobilityService:
         obs = self.platform.loop.observability
         if obs is not None:
             obs.metrics.counter("agent.completed", kind=kind).inc()
-        self._obs_finish(result, host=container.host)
+        result.end_spans(host=container.host)
         result._finish()

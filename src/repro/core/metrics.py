@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean, stdev
-from typing import Callable, Dict, List
+from typing import Dict, List
 
+from repro.agents.mobility import Outcome
 from repro.core.binding import MigrationPlan
 
 
 @dataclass
-class MigrationOutcome:
+class MigrationOutcome(Outcome):
     """Observable result of one application migration."""
 
     plan: MigrationPlan
@@ -47,8 +48,6 @@ class MigrationOutcome:
     transfer_retries: int = 0
     transfer_resumed: bool = False
     dedup_hits: int = 0
-    _callbacks: List[Callable[["MigrationOutcome"], None]] = field(
-        default_factory=list, repr=False)
 
     # -- phases (paper Fig. 8/9 series) ------------------------------------
 
@@ -67,19 +66,6 @@ class MigrationOutcome:
     @property
     def total_ms(self) -> float:
         return self.resume_done_at - self.started_at
-
-    # -- completion ---------------------------------------------------------
-
-    def on_complete(self, callback: Callable[["MigrationOutcome"], None]) -> None:
-        if self.completed or self.failed:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-    def _finish(self) -> None:
-        for callback in self._callbacks:
-            callback(self)
-        self._callbacks.clear()
 
     def log(self, message: str) -> None:
         self.events.append(message)

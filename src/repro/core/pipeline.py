@@ -134,21 +134,6 @@ def plan_from_dict(data: Dict[str, Any]) -> MigrationPlan:
     )
 
 
-def end_outcome_spans(outcome: MigrationOutcome, **attributes) -> None:
-    """Seal any observability spans still open on ``outcome``.
-
-    The phase spans (suspend/migrate/resume) and their ``app.migration``
-    root ride the outcome object across hosts; every failure path funnels
-    through :meth:`MigrationOutcome._finish`, so the suspend and pack
-    phases register this as an ``on_complete`` callback to guarantee no
-    span is left dangling.
-    """
-    for attr in ("_obs_phase", "_obs_root"):
-        span = getattr(outcome, attr, None)
-        if span is not None and not span.finished:
-            span.end(**attributes)
-
-
 # -- contracts --------------------------------------------------------------
 
 
@@ -564,6 +549,7 @@ def _mint_outcome(ctx: MigrationContext, app: Application,
     obs = ctx.observability
     if obs is not None:
         outcome.on_complete(lambda o: obs.ledger.outcome(token, o))
+        outcome.on_complete(lambda o: o.end_spans(failed=o.failed))
     ctx.app = app
     ctx.outcome = outcome
     ctx.token = token
@@ -769,22 +755,16 @@ class SuspendPhase(MiddlewarePhase):
                 f"plan source {plan.source!r} is not this host "
                 f"{middleware.host_name!r}")
         outcome.started_at = loop.now
-        obs = loop.observability
-        if obs is not None:
-            # The phase spans carry exactly the timestamps that feed the
-            # outcome's suspend/migrate/resume figures (Fig. 8/9 series):
-            # both are written from the same loop.now at the same call
-            # sites, so trace and tables agree to the float bit.
-            root = obs.tracer.begin_span(
-                "app.migration", category="migration", host=middleware.host,
-                app=plan.app_name, source=plan.source,
-                destination=plan.destination, kind=plan.kind.value,
-                policy=plan.policy.value)
-            outcome._obs_root = root
-            outcome._obs_phase = root.child("suspend", host=middleware.host,
-                                            app=plan.app_name)
-            outcome.on_complete(
-                lambda o: end_outcome_spans(o, failed=o.failed))
+        # The phase spans carry exactly the timestamps that feed the
+        # outcome's suspend/migrate/resume figures (Fig. 8/9 series): both
+        # are written from the same loop.now at the same call sites, so
+        # trace and tables agree to the float bit.
+        outcome.begin_spans(
+            loop.observability, "app.migration", "migration",
+            middleware.host, app=plan.app_name, source=plan.source,
+            destination=plan.destination, kind=plan.kind.value,
+            policy=plan.policy.value)
+        outcome.next_span("suspend", middleware.host, app=plan.app_name)
         if plan.kind is MigrationKind.FOLLOW_ME:
             app.suspend()
             ctx._suspended_here = True
@@ -856,11 +836,7 @@ class TransferPhase(MiddlewarePhase):
         snapshot = ctx.snapshot
         ctx._transfer_started = True
         outcome.suspend_done_at = loop.now
-        root = getattr(outcome, "_obs_root", None)
-        if root is not None:
-            outcome._obs_phase.end(host=middleware.host)
-            outcome._obs_phase = root.child("migrate", host=middleware.host,
-                                            app=plan.app_name)
+        outcome.next_span("migrate", middleware.host, app=plan.app_name)
         manifest = app.to_manifest(plan.carry_components)
         # A migrating sync master hands its replica set over: the manifest
         # carries the list so the new host can re-point every replica.
@@ -954,12 +930,8 @@ class CheckinPhase(MiddlewarePhase):
             outcome.migrate_done_at = now
             outcome.log(f"mobile agent {ma.local_name} checked in at "
                         f"{now:.1f}")
-            phase = getattr(outcome, "_obs_phase", None)
-            if phase is not None and not phase.finished:
-                # The migrate phase ends here, on the destination's clock.
-                phase.end(host=middleware.host)
-                outcome._obs_phase = outcome._obs_root.child(
-                    "resume", host=middleware.host, app=plan.app_name)
+            # The migrate phase ends here, on the destination's clock.
+            outcome.next_span("resume", middleware.host, app=plan.app_name)
         app = middleware.applications.get(plan.app_name)
         if app is None:
             app = Application.from_manifest(manifest)
@@ -1087,10 +1059,10 @@ class PowerUpPhase(MiddlewarePhase):
         if outcome is not None:
             outcome.resume_done_at = loop.now
             outcome.completed = True
+            outcome.end_spans(host=middleware.host,
+                              bytes=outcome.bytes_transferred)
             obs = loop.observability
             if obs is not None:
-                end_outcome_spans(outcome, host=middleware.host,
-                                  bytes=outcome.bytes_transferred)
                 metrics = obs.metrics
                 metrics.counter("migration.completed",
                                 kind=plan.kind.value).inc()
@@ -1188,14 +1160,9 @@ class PackPhase(MiddlewarePhase):
         outcome = ctx.outcome
         plan.prestage = True
         outcome.started_at = loop.now
-        obs = loop.observability
-        if obs is not None:
-            outcome._obs_root = obs.tracer.begin_span(
-                "app.prestage", category="migration",
-                host=middleware.host, app=plan.app_name,
-                source=plan.source, destination=plan.destination)
-            outcome.on_complete(
-                lambda o: end_outcome_spans(o, failed=o.failed))
+        outcome.begin_spans(loop.observability, "app.prestage", "migration",
+                            middleware.host, app=plan.app_name,
+                            source=plan.source, destination=plan.destination)
         pack_cost = (middleware.config.mobility.clone_snapshot_base_ms
                      * middleware.host.cpu_factor)
         loop.call_later(pack_cost, ctx.complete_phase)
