@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Predictive building: pre-staging + contract-net placement + tracing.
+"""Predictive building: pre-staging + contract-net placement.
 
 Shows the extensions layered on the paper's middleware working together:
 
@@ -16,7 +16,6 @@ Run:  python examples/predictive_building.py
 
 from repro import Deployment, MiddlewareConfig, UserProfile
 from repro.apps import MusicPlayerApp
-from repro.core.trace import DeploymentTracer
 
 
 def build():
@@ -43,7 +42,6 @@ def build():
 
 def main() -> None:
     d, office, lab_busy, lab_idle = build()
-    tracer = DeploymentTracer(d)
 
     # -- the commute is learned before today's session -----------------------
     for _ in range(3):
@@ -73,8 +71,6 @@ def main() -> None:
     d.run_all()
     outcome = [o for o in d.outcomes.values()
                if o.plan.app_name == "tunes" and not o.plan.prestage][-1]
-    tracer.watch_outcome(outcome)
-    d.run_all()
     where = [m.host_name for m in (lab_busy, lab_idle)
              if "tunes" in m.applications
              and m.applications["tunes"].status.value == "running"]

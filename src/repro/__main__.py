@@ -112,9 +112,9 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     from repro import BindingPolicy, Deployment
     from repro.apps import MusicPlayerApp
     from repro.core.middleware import MiddlewareConfig
-    from repro.core.trace import DeploymentTracer
+    from repro.obs import Observability
 
-    obs = _make_obs(args)
+    obs = Observability()
     faults = _make_faults(args)
     config = MiddlewareConfig(migration_protocol=args.migration_protocol)
     d = Deployment(seed=args.seed, config=config, observability=obs,
@@ -122,7 +122,6 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     d.add_space("lab")
     src = d.add_host("host1", "lab")
     dst = d.add_host("host2", "lab")
-    tracer = DeploymentTracer(d)
     app = MusicPlayerApp.build("player", "alice",
                                track_bytes=int(args.size_mb * 1e6))
     src.launch_application(app)
@@ -130,9 +129,14 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     d.loop.advance(10_000.0)
     policy = BindingPolicy(args.policy)
     outcome = src.migrate("player", "host2", policy=policy)
-    tracer.watch_outcome(outcome)
     d.run_all()
-    print(tracer.timeline())
+    for event in obs.tracer.events:
+        if event.category == "context":
+            print(event)
+    plan = outcome.plan
+    print(f"migration {plan.app_name} {plan.source} -> {plan.destination}: "
+          + (f"FAILED: {outcome.failure_reason}" if outcome.failed else
+             f"{outcome.bytes_transferred:,} B"))
     print()
     for phase, value in outcome.phases().items():
         print(f"{phase:>8}: {value:8.1f} ms")
@@ -140,8 +144,6 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
         _print_fault_log(d)
         print(f"transfer retries: {outcome.transfer_retries}"
               f"{' (resumed from checkpoint)' if outcome.transfer_resumed else ''}")
-        if outcome.failed:
-            print(f"migration FAILED: {outcome.failure_reason}")
     _export_obs(obs, args)
     return 0 if outcome.completed else 1
 

@@ -98,11 +98,19 @@ class ContextBus:
         """Multicast ``event``; returns the number of listeners scheduled.
 
         The event timestamp is stamped with the current simulated time if
-        unset (zero).
+        unset (zero).  With a hub attached, the event is also recorded on
+        its tracer (category ``context``): the deployment's timeline.
         """
         if event.timestamp == 0.0 and self.loop.now > 0.0:
             event.timestamp = self.loop.now
         self.published += 1
+        obs = self.loop.observability
+        if obs is not None:
+            record = obs.tracer.event(event.topic, category="context",
+                                      at=event.timestamp,
+                                      subject=event.subject)
+            if record is not None:
+                record.attributes.update(event.attributes)
         count = 0
         # Exact-topic fast path plus any wildcard subscriptions.
         candidates = list(self._exact_index.get(event.topic, ()))

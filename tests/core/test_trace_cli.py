@@ -1,78 +1,6 @@
-"""Tests for the deployment tracer and the CLI entry point."""
-
-import pytest
+"""Tests for the CLI entry point."""
 
 from repro.__main__ import build_parser, main
-from repro.apps.music_player import MusicPlayerApp
-from repro.core import Deployment
-from repro.core.trace import DeploymentTracer
-
-
-@pytest.fixture
-def traced_run():
-    d = Deployment(seed=9)
-    d.add_space("room")
-    src = d.add_host("pc1", "room")
-    dst = d.add_host("pc2", "room")
-    tracer = DeploymentTracer(d)
-    app = MusicPlayerApp.build("player", "alice", track_bytes=300_000)
-    src.launch_application(app)
-    d.run_all()
-    outcome = src.migrate("player", "pc2")
-    tracer.watch_outcome(outcome)
-    d.run_all()
-    return d, tracer, outcome
-
-
-class TestTracer:
-    def test_records_app_lifecycle(self, traced_run):
-        d, tracer, outcome = traced_run
-        app_events = tracer.by_category("app")
-        details = [e.detail for e in app_events]
-        assert any("started on pc1" in x for x in details)
-        assert any("resumed on pc2" in x for x in details)
-
-    def test_records_migration_phases(self, traced_run):
-        d, tracer, outcome = traced_run
-        migrations = tracer.by_category("migration")
-        assert len(migrations) == 1
-        assert "pc1 -> pc2" in migrations[0].detail
-        assert "suspend=" in migrations[0].detail
-
-    def test_failed_migration_recorded(self):
-        d = Deployment(seed=9)
-        d.add_space("room")
-        src = d.add_host("pc1", "room")
-        d.add_host("pc2", "room")
-        tracer = DeploymentTracer(d)
-        app = MusicPlayerApp.build("player", "alice", track_bytes=300_000)
-        src.launch_application(app)
-        d.run_all()
-        outcome = src.migrate("player", "pc2")
-        tracer.watch_outcome(outcome)
-        d.loop.advance(200.0)
-        d.network.host("pc2").online = False
-        d.run_all()
-        migrations = tracer.by_category("migration")
-        assert migrations and "FAILED" in migrations[0].detail
-
-    def test_queries(self, traced_run):
-        d, tracer, outcome = traced_run
-        assert tracer.by_subject("player")
-        assert len(tracer.between(0.0, d.loop.now)) == len(tracer)
-        assert tracer.between(-2.0, -1.0) == []
-
-    def test_timeline_sorted(self, traced_run):
-        d, tracer, outcome = traced_run
-        lines = tracer.timeline().splitlines()
-        times = [float(line.split("ms]")[0].strip("[ ")) for line in lines]
-        assert times == sorted(times)
-
-    def test_manual_record(self, traced_run):
-        d, tracer, outcome = traced_run
-        entry = tracer.record("custom", "me", "hello")
-        assert entry in tracer.entries
-        assert "hello" in str(entry)
 
 
 class TestCLI:
@@ -84,6 +12,7 @@ class TestCLI:
         assert main(["quickstart", "--size-mb", "1", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "suspend" in out and "migration" in out
+        assert "context.app" in out  # the hub's timeline is printed
 
     def test_quickstart_static_policy(self, capsys):
         assert main(["quickstart", "--size-mb", "1",

@@ -15,7 +15,6 @@ from repro.bench.harness import (
     clone_dispatch_experiment,
 )
 from repro.core import BindingPolicy, Deployment
-from repro.core.trace import DeploymentTracer
 from repro.obs import Observability
 
 
@@ -168,42 +167,24 @@ def test_agent_clone_and_acl_events_at_platform_level():
     assert obs.metrics.counter("agent.completed", kind="clone").value == 1
 
 
-def test_deployment_tracer_rides_the_hub():
+def test_context_events_land_in_the_hub_tracer():
     obs = Observability()
     d = Deployment(seed=3, observability=obs)
     d.add_space("room")
     src = d.add_host("pc1", "room")
     d.add_host("pc2", "room")
-    tracer = DeploymentTracer(d)
-    assert tracer.tracer is obs.tracer
-    app = MusicPlayerApp.build("player", "alice", track_bytes=100_000)
-    src.launch_application(app)
+    src.launch_application(
+        MusicPlayerApp.build("player", "alice", track_bytes=100_000))
     d.run_all()
+    d.announce_location("alice", "room")
     outcome = src.migrate("player", "pc2")
-    tracer.watch_outcome(outcome)
     d.run_all()
-    mirrored = [e for e in obs.tracer.events if e.category == "deployment"]
-    assert len(mirrored) == len(tracer.entries)
-    assert any(e.attributes.get("subject") == "player" for e in mirrored)
-
-
-def test_deployment_tracer_queries_time_sorted_entries_insertion_ordered():
-    """Regression: entries keep arrival order, queries sort by time."""
-    d = Deployment(seed=1)
-    d.add_space("room")
-    d.add_host("pc1", "room")
-    tracer = DeploymentTracer(d)
-    d.loop.advance(100.0)
-    tracer.record("late", "s", "recorded first, happened later",
-                  timestamp=90.0)
-    tracer.record("late", "s", "recorded second, happened earlier",
-                  timestamp=10.0)
-    tracer.record("other", "s", "middle", timestamp=50.0)
-    # Insertion order preserved on the raw list.
-    assert [e.timestamp for e in tracer.entries] == [90.0, 10.0, 50.0]
-    # Queries and the timeline are chronological.
-    assert [e.timestamp for e in tracer.by_category("late")] == [10.0, 90.0]
-    assert [e.timestamp for e in tracer.by_subject("s")] == [10.0, 50.0, 90.0]
-    assert [e.timestamp for e in tracer.between(0.0, 60.0)] == [10.0, 50.0]
-    lines = tracer.timeline().splitlines()
-    assert "earlier" in lines[0] and "later" in lines[-1]
+    context = [e for e in obs.tracer.events if e.category == "context"]
+    assert len(context) == d.bus.published
+    assert [(e.name, e.attributes["subject"]) for e in context] == [
+        ("context.app", "player"), ("context.location", "alice"),
+        ("context.app", "player")]
+    resumed = context[-1]
+    assert resumed.attributes == {"subject": "player", "event": "resumed",
+                                  "host": "pc2", "owner": "alice"}
+    assert resumed.timestamp_ms == outcome.resume_done_at
