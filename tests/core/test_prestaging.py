@@ -357,3 +357,29 @@ class TestExplicitPlacements:
         assert service.stage("alice", "lab",
                              placements=[(office_pc, app)]) == 0
         assert service.prestages_started == 1
+
+
+def test_prestaging_leaves_routine_commute_latency_unchanged():
+    """On a routine commute the predicted next hop still holds the copy
+    the app left there, so every push is a no-op (nothing to carry) and
+    each follow-me migration takes the same time with or without
+    prestaging."""
+    from tests.integration.building import run_building_day
+
+    def run(prestaging):
+        d = run_building_day(spaces=3, users=3, seed=2,
+                             prestaging=prestaging, duration_ms=1_800_000.0)
+        return list(d.outcomes.values())
+
+    cold, warm = run(False), run(True)
+    pushes = [o for o in warm if o.plan.prestage]
+    assert pushes and not any(o.plan.prestage for o in cold)
+    assert all(o.completed and not o.plan.carry_components for o in pushes)
+    cold_moves = [o for o in cold if not o.plan.prestage]
+    warm_moves = [o for o in warm if not o.plan.prestage]
+    assert len(cold_moves) == len(warm_moves) > 0
+    for before, after in zip(cold_moves, warm_moves):
+        assert before.completed and after.completed
+        assert (after.plan.app_name, after.plan.destination) == \
+            (before.plan.app_name, before.plan.destination)
+        assert after.total_ms == pytest.approx(before.total_ms, abs=0.01)

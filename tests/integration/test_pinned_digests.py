@@ -69,17 +69,11 @@ def _run_transfer_window() -> Dict[str, str]:
 
 def _run_workload_day() -> Dict[str, str]:
     """The only driver of the context-driven ``announce_location`` path."""
-    from repro.bench.scenarios import SmartBuildingWorkload, WorkloadConfig
+    from tests.integration.building import run_building_day
 
     obs = _observed()
-    config = WorkloadConfig(spaces=4, hosts_per_space=2, users=8,
-                            duration_ms=3_600_000.0,
-                            mean_dwell_ms=300_000.0, track_bytes=2_000_000,
-                            mobility_pattern="routine", prestaging=True,
-                            seed=1)
-    workload = SmartBuildingWorkload(config, observability=obs)
-    workload.run()
-    return {"workload_day": behaviour_digest(obs, workload.deployment)}
+    deployment = run_building_day(obs)
+    return {"workload_day": behaviour_digest(obs, deployment)}
 
 
 def _swallow_registry_result(result, error) -> None:
