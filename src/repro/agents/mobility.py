@@ -72,8 +72,7 @@ class CostModel:
     migration_deadline_ms: float = 0.0
     #: Split transfers into chunks of this size so a mid-transfer failure
     #: resumes from the last acknowledged chunk instead of resending
-    #: everything.  0 (default) keeps the legacy single-message transfer,
-    #: whose timing is byte-identical to pre-chunking behaviour.
+    #: everything.  0 (default) sends the whole payload as one frame.
     transfer_chunk_bytes: int = 0
     #: Sliding-window size for chunked transfers: up to this many chunks
     #: ride the wire concurrently, so per-hop latency is paid once per
@@ -119,9 +118,8 @@ class CostModel:
     def chunk_sizes(self, size_bytes: int) -> List[int]:
         """Wire chunks for a payload (a single chunk when chunking is off).
 
-        A zero-byte payload yields an explicit empty plan: there is nothing
-        to put on the wire, so no chunk machinery is scheduled (the control
-        message still crosses the network at size 0).
+        A zero-byte payload yields an empty plan; the transfer then sends
+        one empty frame.
         """
         if size_bytes <= 0:
             return []
@@ -214,7 +212,7 @@ class MigrationResult(Outcome):
     dedup_hits: int = 0
     chunks_total: int = 0
     chunks_acked: int = 0
-    #: Sliding-window accounting (1/1/0 on unchunked or stop-and-wait runs).
+    #: Sliding-window accounting (1/1/0 on one-chunk or stop-and-wait runs).
     transfer_window: int = 1
     max_in_flight: int = 0
     #: Rough pipelining gain: (first-chunk RTT x chunks) - actual transfer
@@ -403,7 +401,8 @@ class MobilityService:
         result.checked_out_at = self.platform.loop.now
         result.depart_local = container.host.local_time()
         self._transfer_seq += 1
-        sizes = self.cost_model.chunk_sizes(snapshot.size_bytes)
+        # A zero-byte snapshot still crosses the wire, as one empty frame.
+        sizes = self.cost_model.chunk_sizes(snapshot.size_bytes) or [0]
         result.chunks_total = len(sizes)
         if len(sizes) > 1:
             result.transfer_window = max(1, self.cost_model.transfer_window)
@@ -413,44 +412,20 @@ class MobilityService:
             chunk_sizes=sizes, attempt=attempt))
 
     def _transmit(self, transfer: _Transfer) -> None:
-        """Pump the transfer: fill the window (or, un-chunked, send all).
+        """Pump the transfer: fill the window.
 
-        Chunked transfers are pipelined go-back-N: up to ``transfer_window``
+        Transfers are pipelined go-back-N: up to ``transfer_window``
         chunks ride the wire at once, the simulator's delivery callback
         doubles as a zero-cost cumulative ack, and only the final chunk
         carries the actual payload.  A drop rewinds to the lowest unacked
         chunk after a seeded backoff, so bytes already acknowledged are
         never re-sent -- that is the checkpointed resume.  With
-        ``transfer_window == 1`` this degenerates to the historical
-        stop-and-wait engine, byte-identical in timing and trace.
+        ``transfer_window == 1`` this is stop-and-wait; a one-chunk plan
+        (chunking off, or a payload within one chunk) is a single frame.
         """
         transfer.recovering = False
         result = transfer.result
         sizes = transfer.chunk_sizes
-        if len(sizes) <= 1:
-            # Unchunked (or degenerate zero-byte) transfer: one message
-            # carries everything.
-            result.next_span("agent.transfer", transfer.container.host,
-                             attempt=transfer.attempt)
-
-            def on_dropped(receipt):
-                self.transfers_dropped += 1
-                self._retry(transfer, "lost in transit", lost_phase=True)
-
-            try:
-                self.platform.network.send(
-                    transfer.container.host_name, result.destination,
-                    TRANSFER_PROTOCOL,
-                    (transfer.snapshot, transfer.carried, transfer.kind,
-                     result),
-                    sizes[0] if sizes else 0,
-                    on_delivered=None, on_dropped=on_dropped)
-            except RETRYABLE_SEND_ERRORS as exc:
-                transfer.last_error = str(exc)
-                self._retry(transfer, str(exc), lost_phase=False)
-            except Exception as exc:
-                self._fail(result, str(exc), transfer)
-            return
         window = max(1, self.cost_model.transfer_window)
         if (window > 1 and transfer.in_flight == 0
                 and len(sizes) - transfer.next_to_send >= 2
@@ -721,41 +696,36 @@ class MobilityService:
             self._rx_done.pop(next(iter(self._rx_done)))
 
     def _on_transfer(self, container: "AgentContainer", net_message) -> None:
-        payload = net_message.payload
-        if (isinstance(payload, tuple) and len(payload) == 5
-                and payload[0] == "chunk"):
-            _tag, transfer_id, seq, total, inner = payload
-            key = (container.host_name, transfer_id)
-            if key in self._rx_done:  # straggler of a finished transfer
-                self._dedup(container, inner[3] if inner else None)
-                return
-            seen = self._rx_chunks.get(key)
-            if seen is None:
-                seen = self._rx_chunks[key] = set()
-                while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
-                    oldest = next(iter(self._rx_chunks))
-                    if oldest == key:
-                        break  # never evict the transfer being served
-                    self._rx_chunks.pop(oldest)
-            duplicate = seq in seen
-            seen.add(seq)
-            if inner is None:  # intermediate chunk: ack only
-                if duplicate:  # re-delivery of an already-accepted chunk
-                    self._dedup(container, None)
-                return
-            if len(seen) < total:
-                # The payload-bearing final chunk outran a lost earlier
-                # chunk (pipelined window + loss); hold the check-in until
-                # the go-back-N retransmit fills the hole.
-                return
-            self._rx_chunks.pop(key, None)
-            self._mark_rx_done(key)
-            # A duplicate final chunk falls through: either the transfer
-            # already checked in (the _arrived guard below dedups it) or a
-            # retransmitted final just completed a recovered window.
-            snapshot, carried, kind, result = inner
-        else:
-            snapshot, carried, kind, result = payload
+        _tag, transfer_id, seq, total, inner = net_message.payload
+        key = (container.host_name, transfer_id)
+        if key in self._rx_done:  # straggler of a finished transfer
+            self._dedup(container, inner[3] if inner else None)
+            return
+        seen = self._rx_chunks.get(key)
+        if seen is None:
+            seen = self._rx_chunks[key] = set()
+            while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
+                oldest = next(iter(self._rx_chunks))
+                if oldest == key:
+                    break  # never evict the transfer being served
+                self._rx_chunks.pop(oldest)
+        duplicate = seq in seen
+        seen.add(seq)
+        if inner is None:  # intermediate chunk: ack only
+            if duplicate:  # re-delivery of an already-accepted chunk
+                self._dedup(container, None)
+            return
+        if len(seen) < total:
+            # The payload-bearing final chunk outran a lost earlier chunk
+            # (pipelined window + loss); hold the check-in until the
+            # go-back-N retransmit fills the hole.
+            return
+        self._rx_chunks.pop(key, None)
+        self._mark_rx_done(key)
+        # A duplicate final chunk falls through: either the transfer
+        # already checked in (the _arrived guard below dedups it) or a
+        # retransmitted final just completed a recovered window.
+        snapshot, carried, kind, result = inner
         if result._arrived:  # duplicate delivery of the whole transfer
             self._dedup(container, result)
             return

@@ -50,8 +50,8 @@ class FaultConfig:
     arm: str = "first-migration"
     enabled: bool = True
     # -- reliability hardening applied to the deployment ------------------
-    #: Chunked, checkpoint-resumable agent transfers (0 keeps the legacy
-    #: single-message transfer).
+    #: Chunked, checkpoint-resumable agent transfers (0 sends each
+    #: transfer as one frame).
     transfer_chunk_bytes: int = 0
     #: Sliding-window size for chunked transfers: up to this many chunks in
     #: flight at once (pipelined go-back-N).  1 keeps stop-and-wait, whose

@@ -175,9 +175,10 @@ def test_duplicate_final_delivery_is_swallowed():
     loop.run()
     assert result.completed
     assert c2.has_agent("ma")
-    # Replay the whole-transfer delivery: the agent must not re-arrive.
+    # Replay the one-chunk final frame: the agent must not re-arrive.
     mobility = platform.mobility
-    mobility._on_transfer(c2, FakeMessage((None, [], "move", result)))
+    frame = ("chunk", mobility._transfer_seq, 0, 1, (None, [], "move", result))
+    mobility._on_transfer(c2, FakeMessage(frame))
     loop.run()
     assert c2.has_agent("ma")
     assert result.dedup_hits == 1

@@ -300,7 +300,7 @@ def test_straggler_chunk_after_completion_dedups_without_resurrecting():
 
 # -- zero-byte degenerate transfer --------------------------------------------
 
-def test_zero_byte_snapshot_skips_chunk_machinery():
+def test_zero_byte_snapshot_sends_one_empty_frame():
     loop, net, platform, c1, c2 = rig()
     platform.mobility.cost_model.transfer_chunk_bytes = 1_000
     snapshot = AgentSnapshot("WindowCourier", "zb", {})
@@ -309,6 +309,6 @@ def test_zero_byte_snapshot_skips_chunk_machinery():
     platform.mobility._send_snapshot(c1, snapshot, [], result, "move")
     loop.run()
     assert result.completed
-    assert result.chunks_total == 0  # explicit empty plan, no chunk frames
+    assert result.chunks_total == result.chunks_acked == 1
     assert platform.mobility._rx_chunks == {}
     assert c2.has_agent("zb")

@@ -23,14 +23,14 @@ PINNED: Dict[str, str] = {
     "transfer_window":
         "e6ce2dcc1b43b1097b81d27dcc72cd65f38f74aec6bd00917b5a8315a60614c5",
     "workload_day":
-        "6c47a662a88bc283db24f44e0cf58126806fbb6de0fb8610b6f7e3e2d0e6a6fa",
+        "389e2e2de5b2b7410cc363a6986b3dcc52d614fac4c1598ed91393bde45dc5cb",
     "registry":
         "0c73abed959e5b92fc0bc03064820f09bdd483aa677e6a9dedc69bef838d0196",
     "registry_flat":
         "bdc27adb3c2c9a2c0817a71cf5a63e3114280c54d030ca018a2bc6730f3e054c",
     # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
     "city":
-        "d765944c7e41853dc0d33b269c86396f1254a94ed8c0f066c091111856f9a76f",
+        "81775e234717bcb4edfd7fcf571450db8f0ea1e5c2e5f2158ea2f82981172bb6",
 }
 
 
