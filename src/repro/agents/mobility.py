@@ -130,10 +130,6 @@ class CostModel:
         return [chunk] * full + ([rest] if rest else [])
 
 
-#: Public alias: the cost model is, above all, the transfer cost model.
-TransferCostModel = CostModel
-
-
 class Outcome:
     """Completion callbacks and the span pair shared by every outcome.
 

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from repro.core.components import DataComponent
 
-#: The paper's Fig. 8/9 sweep, in bytes.
-PAPER_FILE_SIZES_MB = (2.0, 3.0, 4.3, 5.6, 6.5, 7.5)
-
 
 def make_track(name: str, size_bytes: int,
                bitrate_kbps: int = 192) -> DataComponent:

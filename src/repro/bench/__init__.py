@@ -22,12 +22,10 @@ from repro.bench.scale import (
     concurrent_migration_experiment,
     scale_benchmark,
 )
-from repro.city.params import PAPER_FILE_SIZES_MB, mb
 
 __all__ = [
     "ConcurrentMigrationResult",
     "MigrationExperiment",
-    "PAPER_FILE_SIZES_MB",
     "ScaleResult",
     "SweepRow",
     "TestbedConfig",
@@ -36,7 +34,6 @@ __all__ = [
     "concurrent_migration_experiment",
     "format_comparison_table",
     "format_phase_table",
-    "mb",
     "round_trip_experiment",
     "scale_benchmark",
 ]

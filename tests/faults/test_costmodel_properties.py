@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.agents.mobility import CostModel, TransferCostModel
+from repro.agents.mobility import CostModel
 
 
 def make_model(chunk_bytes: int, window: int = 1) -> CostModel:
@@ -80,9 +80,6 @@ class TestConstructionValidation:
     def test_negative_retry_budget_rejected(self, retries):
         with pytest.raises(ValueError):
             CostModel(max_transfer_retries=retries)
-
-    def test_transfer_cost_model_is_the_public_alias(self):
-        assert TransferCostModel is CostModel
 
 
 class TestBackoffProperties:

@@ -16,7 +16,6 @@ from repro.agents.agent import Agent
 from repro.agents.mobility import (
     CostModel,
     MigrationResult,
-    TransferCostModel,
 )
 from repro.agents.platform import AgentPlatform
 from repro.agents.serialization import AgentSnapshot, register_agent_type
@@ -47,10 +46,6 @@ def test_zero_byte_payload_has_empty_chunk_plan():
     model = CostModel(transfer_chunk_bytes=400)
     assert model.chunk_sizes(0) == []
     assert CostModel().chunk_sizes(0) == []
-
-
-def test_transfer_cost_model_alias():
-    assert TransferCostModel is CostModel
 
 
 def test_cost_model_rejects_bad_window():
