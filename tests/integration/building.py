@@ -1,4 +1,4 @@
-"""A day in a smart building: the driver of the context-driven path.
+"""A day in a smart building, replayed through the context-driven path.
 
 Spaces of two hosts each are joined in a ring through gateways; every
 user owns one follow-me application (music, editor, chat, cycled) at
