@@ -30,11 +30,6 @@ from repro.agents.behaviours import (
 )
 from repro.agents.directory import DirectoryFacilitator, ServiceDescription
 from repro.agents.mobility import CloneResult, MigrationResult, MobilityService
-from repro.agents.protocols import (
-    RequestInitiator,
-    RequestResponder,
-    ResponderDecision,
-)
 from repro.agents.platform import AgentContainer, AgentPlatform, PlatformError
 from repro.agents.serialization import (
     AgentSnapshot,
@@ -62,9 +57,6 @@ __all__ = [
     "OneShotBehaviour",
     "Performative",
     "PlatformError",
-    "RequestInitiator",
-    "RequestResponder",
-    "ResponderDecision",
     "SequentialBehaviour",
     "SerializationError",
     "ServiceDescription",

@@ -34,19 +34,12 @@ def reset_global_state() -> None:
     back-to-back runs in one process diverge unless the counters restart.
     """
     import repro.agents.acl as acl
-    from repro.agents.protocols import (
-        ContractNetInitiator,
-        ProposeInitiator,
-        RequestInitiator,
-        SubscriptionInitiator,
-    )
+    from repro.agents.protocols import ContractNetInitiator, ProposeInitiator
     from repro.core.snapshot import SnapshotManager
     from repro.registry import registry as registry_module
 
     acl._reply_ids = itertools.count(1)
     ProposeInitiator._conversation_ids = itertools.count(1)
-    RequestInitiator._conversation_ids = itertools.count(1)
-    SubscriptionInitiator._conversation_ids = itertools.count(1)
     ContractNetInitiator._conversation_ids = itertools.count(1)
     SnapshotManager._ids = itertools.count(1)
     registry_module.RegistryClient._request_ids = itertools.count(1)
