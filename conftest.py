@@ -1,9 +1,9 @@
 """Repo-root pytest configuration.
 
-Puts ``src/`` on ``sys.path`` so the test and benchmark suites run from a
-fresh checkout even when the package is not installed (offline environments
-where ``pip install -e .`` cannot fetch build dependencies can also use
-``python setup.py develop``).
+Puts ``src/`` on ``sys.path`` so the test suite and the ``perf/``
+self-tests run from a fresh checkout even when the package is not installed
+(offline environments where ``pip install -e .`` cannot fetch build
+dependencies can also use ``python setup.py develop``).
 """
 
 import pathlib

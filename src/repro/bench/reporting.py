@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.bench.harness import AvailabilityRow, SweepRow, WindowRow
 from repro.core.metrics import PhaseStats
@@ -92,22 +92,3 @@ def format_window_table(title: str, rows: Sequence[WindowRow]) -> str:
             f"{row.speedup:>8.2f}x")
     return "\n".join(lines)
 
-
-def format_kv_table(title: str, rows: List[Dict[str, object]]) -> str:
-    """Generic table from a list of uniform dicts (ablation output)."""
-    if not rows:
-        return title
-    lines = [title, "-" * len(title)]
-    keys = list(rows[0].keys())
-    lines.append("  ".join(f"{k:>18}" for k in keys))
-    for row in rows:
-        cells = []
-        for key in keys:
-            value = row[key]
-            if isinstance(value, float):
-                text = f"{value:.2f}".rstrip("0").rstrip(".")
-                cells.append(f"{text:>18}")
-            else:
-                cells.append(f"{str(value):>18}")
-        lines.append("  ".join(cells))
-    return "\n".join(lines)

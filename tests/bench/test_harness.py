@@ -9,11 +9,7 @@ from repro.bench.harness import (
     clone_dispatch_experiment,
     round_trip_experiment,
 )
-from repro.bench.reporting import (
-    format_comparison_table,
-    format_kv_table,
-    format_phase_table,
-)
+from repro.bench.reporting import format_comparison_table, format_phase_table
 from repro.city.params import PAPER_FILE_SIZES_MB, mb
 from repro.core import BindingPolicy
 
@@ -115,13 +111,6 @@ class TestReporting:
         static = experiment.sweep([2.0, 3.0], BindingPolicy.STATIC)
         with pytest.raises(ValueError):
             format_comparison_table("cmp", adaptive, static)
-
-    def test_kv_table(self):
-        table = format_kv_table("t", [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}])
-        assert "a" in table and "2.5" in table
-
-    def test_kv_table_empty(self):
-        assert format_kv_table("only-title", []) == "only-title"
 
 
 class TestJitterAndRepeats:

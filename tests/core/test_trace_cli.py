@@ -1,6 +1,11 @@
 """Tests for the CLI entry point."""
 
 from repro.__main__ import build_parser, main
+from repro.bench.harness import MigrationExperiment
+from repro.bench.reporting import format_comparison_table, format_phase_table
+from repro.city.params import PAPER_FILE_SIZES_MB
+from repro.core import BindingPolicy
+from repro.simcheck import reset_global_state
 
 
 class TestCLI:
@@ -33,8 +38,18 @@ class TestCLI:
             assert command in text
 
 
-def test_cli_sweep(capsys):
-    assert main(["sweep"]) == 0
+def test_cli_sweep(capsys, tmp_path):
+    """The CLI prints the asserted Figs. 8-10 numbers, and tracing the
+    sweep does not move them."""
+    assert main(["sweep", "--trace-jsonl", str(tmp_path / "t.jsonl")]) == 0
     out = capsys.readouterr().out
-    assert "Fig. 8" in out and "Fig. 9" in out and "Fig. 10" in out
-    assert "7.5M" in out
+    reset_global_state()
+    experiment = MigrationExperiment()
+    adaptive = experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.ADAPTIVE)
+    static = experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.STATIC)
+    assert out == "\n\n".join([
+        format_phase_table("Fig. 8 -- adaptive component binding", adaptive),
+        format_phase_table("Fig. 9 -- static component binding", static),
+        format_comparison_table("Fig. 10 -- comparative total cost",
+                                adaptive, static),
+    ]) + "\n"

@@ -31,6 +31,8 @@ PINNED: Dict[str, str] = {
     # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
     "city":
         "81775e234717bcb4edfd7fcf571450db8f0ea1e5c2e5f2158ea2f82981172bb6",
+    "paper_sweep":
+        "e7d255d66256e9508d2d3a78327dcaa0a1c5d0d96c296976ec19bb6a40940d8f",
 }
 
 
@@ -54,6 +56,23 @@ def _run_scale() -> Dict[str, str]:
                     deadline_ms=120_000.0, prestage_fraction=0.25,
                     observability=obs)
     return {"scale": behaviour_digest(obs)}
+
+
+def _run_paper_sweep() -> Dict[str, str]:
+    """Figs. 8-10: both binding policies over the paper's six file sizes.
+
+    ``tests/bench/test_figures.py`` asserts the shapes; this row pins the
+    exact phase timestamps and wire bytes behind them.
+    """
+    from repro.bench.harness import MigrationExperiment
+    from repro.city.params import PAPER_FILE_SIZES_MB
+    from repro.core import BindingPolicy
+
+    obs = _observed()
+    experiment = MigrationExperiment(observability=obs)
+    for policy in (BindingPolicy.ADAPTIVE, BindingPolicy.STATIC):
+        experiment.sweep(PAPER_FILE_SIZES_MB, policy)
+    return {"paper_sweep": behaviour_digest(obs)}
 
 
 def _run_transfer_window() -> Dict[str, str]:
@@ -167,6 +186,7 @@ RUNNERS: Dict[str, Callable[[], Dict[str, str]]] = {
     "workload_day": _run_workload_day,
     "registry": _run_registry,
     "city": _run_city,
+    "paper_sweep": _run_paper_sweep,
 }
 
 
