@@ -7,23 +7,21 @@ The pipeline mirrors the paper's prototype:
    identity, etc.").
 2. :mod:`repro.context.fusion` -- context fusion maps raw data to useful
    information (room-level location, user identity) with confidence scores.
-3. :mod:`repro.context.classifier` + :mod:`repro.context.store` -- a
-   classifier files context into databases by temporal class (frequently
-   changing location vs. stable preferences).
-4. :mod:`repro.context.monitor` -- a context monitor watches the stream and
-   triggers autonomous agents when predefined conditions occur.
-5. :mod:`repro.context.prediction` -- Markov next-location prediction.
+3. :mod:`repro.context.prediction` -- Markov next-location prediction.
 
 Everything communicates over the publish/subscribe :class:`ContextBus`
 ("context kernel employs a publish/subscribe design pattern ... the
-information will be multicast to the registered listeners").
+information will be multicast to the registered listeners").  The paper's
+context monitor ("if some predefined conditions occur, the autonomous
+agents will be triggered") is a subscription: each host's middleware
+bridges the fused location and command topics to its autonomous agent,
+which acts on the event itself.  No decision reads stored context, so the
+temporal classifier and its databases are not modelled.
 """
 
-from repro.context.bus import ContextBus, Subscription
-from repro.context.classifier import ContextClassifier, default_temporal_policy
+from repro.context.bus import ContextBus
 from repro.context.fusion import IdentityRegistry, LocationFusion
-from repro.context.model import ContextEvent, TemporalClass
-from repro.context.monitor import Condition, ContextMonitor
+from repro.context.model import ContextEvent
 from repro.context.prediction import MarkovPredictor
 from repro.context.sensors import (
     CricketBeacon,
@@ -32,15 +30,10 @@ from repro.context.sensors import (
     NetworkSensor,
     PhysicalWorld,
 )
-from repro.context.store import ContextStore
 
 __all__ = [
-    "Condition",
     "ContextBus",
-    "ContextClassifier",
     "ContextEvent",
-    "ContextMonitor",
-    "ContextStore",
     "CricketBeacon",
     "CricketListener",
     "CricketSensorNetwork",
@@ -49,7 +42,4 @@ __all__ = [
     "MarkovPredictor",
     "NetworkSensor",
     "PhysicalWorld",
-    "Subscription",
-    "TemporalClass",
-    "default_temporal_policy",
 ]

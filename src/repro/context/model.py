@@ -4,43 +4,20 @@ Context is "any information that can be used to characterize the situation
 of an entity relevant to the interaction between a user and an application"
 (Dey & Abowd, quoted in the paper §3.4).  Events carry a topic, a subject
 (whose context it is), free-form attributes, a timestamp and a confidence.
-
-The paper notes that "different context information often has different
-properties": locations change frequently, preferences are stable.
-:class:`TemporalClass` captures that axis; the classifier uses it to pick a
-database and retention policy.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict
-
-
-class TemporalClass(enum.Enum):
-    """How quickly a kind of context changes (paper §3.4)."""
-
-    #: Rarely changes: user preferences, operational habits.
-    STATIC = "static"
-    #: Changes occasionally: device profiles, installed applications.
-    STABLE = "stable"
-    #: Changes frequently: location, network latency.
-    DYNAMIC = "dynamic"
-
 
 #: Well-known topics produced by the built-in pipeline.
 TOPIC_RAW_CRICKET = "raw.cricket"
 TOPIC_RAW_NETWORK = "raw.network"
 TOPIC_LOCATION = "context.location"
 TOPIC_NETWORK = "context.network"
-TOPIC_PREFERENCE = "context.preference"
-TOPIC_DEVICE = "context.device"
 TOPIC_USER_COMMAND = "context.command"
 TOPIC_APP = "context.app"
-
-_event_ids = itertools.count(1)
 
 
 @dataclass
@@ -53,7 +30,6 @@ class ContextEvent:
     timestamp: float = 0.0
     source: str = ""
     confidence: float = 1.0
-    event_id: int = field(default_factory=lambda: next(_event_ids))
 
     def __post_init__(self) -> None:
         if not self.topic:
@@ -65,13 +41,6 @@ class ContextEvent:
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.attributes.get(key, default)
-
-    def with_attributes(self, **extra: Any) -> "ContextEvent":
-        """A copy with additional/overridden attributes (new event id)."""
-        merged = dict(self.attributes)
-        merged.update(extra)
-        return ContextEvent(self.topic, self.subject, merged, self.timestamp,
-                            self.source, self.confidence)
 
     def __str__(self) -> str:
         return (f"[{self.timestamp:.1f}ms {self.topic} {self.subject} "

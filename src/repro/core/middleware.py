@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.platform import AgentContainer, AgentPlatform
 from repro.context.bus import ContextBus
-from repro.context.classifier import ContextClassifier
 from repro.context.fusion import IdentityRegistry, LocationFusion
 from repro.context.model import (
     ContextEvent,
@@ -27,10 +26,8 @@ from repro.context.model import (
     TOPIC_RAW_NETWORK,
     TOPIC_USER_COMMAND,
 )
-from repro.context.monitor import ContextMonitor, location_changed_condition
 from repro.context.prediction import MarkovPredictor
 from repro.context.sensors import CricketSensorNetwork, PhysicalWorld
-from repro.context.store import ContextStore
 from repro.core.adaptor import Adaptor
 from repro.core.application import Application, AppStatus
 from repro.core.autonomous_agent import MDAutonomousAgent, MDMobileAgentManager
@@ -842,10 +839,6 @@ class Deployment:
         self.topology = Topology(self.network, backbone=backbone)
         self.platform = AgentPlatform(self.network)
         self.bus = ContextBus(self.loop)
-        self.store = ContextStore()
-        self.classifier = ContextClassifier(self.bus, self.store)
-        self.monitor = ContextMonitor(self.bus, self.store)
-        self.monitor.add_condition(location_changed_condition())
         self.identities = IdentityRegistry()
         self.world = PhysicalWorld()
         self.fusion = LocationFusion(self.bus, self.identities)
@@ -1113,7 +1106,6 @@ class Deployment:
             "migrations_failed": len(failed),
             "bytes_migrated": sum(o.bytes_transferred for o in completed),
             "context_events_published": self.bus.published,
-            "context_events_stored": self.store.total_stored,
             "registry_lookups": (
                 self.federation.total_lookups()
                 if self.federation is not None
