@@ -68,7 +68,6 @@ from repro.core.pipeline import (
     MigrationContext,
     MigrationPipeline,
     MigrationRequest,
-    MobilityConfig,
     ValidationResult,
     build_migration_pipeline,
     build_prestage_pipeline,
@@ -121,7 +120,6 @@ __all__ = [
     "MigrationPipeline",
     "MigrationPlan",
     "MigrationRequest",
-    "MobilityConfig",
     "PhaseStats",
     "PipelineError",
     "PresentationComponent",

@@ -11,7 +11,7 @@ context kernel + registry) with a few calls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.agents.acl import ACLMessage, Performative
@@ -43,7 +43,6 @@ from repro.core.mobile_agent import MDMobileAgent
 from repro.core.pipeline import (
     MigrationContext,
     MigrationRequest,
-    MobilityConfig,
     build_migration_pipeline,
     build_prestage_pipeline,
     receive,
@@ -70,6 +69,8 @@ from repro.registry.registry import (
 
 SYNC_PROTOCOL = "md.sync"
 DATA_PROTOCOL = "md.data"
+#: Wire size of one coordinator sync update.
+SYNC_MESSAGE_SIZE = 96
 # Remote-data streaming moves multi-MB payloads: classify it as bulk so it
 # fair-shares links with agent transfers instead of head-of-line blocking
 # sync/ACL control traffic (md.sync stays control).
@@ -87,8 +88,6 @@ class MiddlewareConfig:
     data_carry_threshold_bytes: int = 512_000
     #: RTT assumed when no probe measurement exists yet.
     probe_default_rtt_ms: float = 10.0
-    #: Wire size of one coordinator sync update.
-    sync_message_size: int = 96
     #: How autonomous agents pick among several compatible destination
     #: hosts: "first-fit" (deterministic order) or "contract-net" (CFP to
     #: every candidate's MA manager, award to the least-loaded bidder).
@@ -114,7 +113,6 @@ class MiddlewareConfig:
     #: Fetch attempts (with the platform cost model's seeded backoff)
     #: before the failure is reported to the caller.
     remote_fetch_retries: int = 3
-    mobility: MobilityConfig = field(default_factory=MobilityConfig)
 
 
 class MDAgentMiddleware:
@@ -396,7 +394,7 @@ class MDAgentMiddleware:
                    origin_host: str) -> None:
         self.network.send(self.host_name, peer_host, SYNC_PROTOCOL,
                           ("update", app_name, key, value, origin_host),
-                          self.config.sync_message_size)
+                          SYNC_MESSAGE_SIZE)
 
     def establish_sync_replica(self, app: Application,
                                master_host: str) -> None:

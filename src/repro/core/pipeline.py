@@ -17,7 +17,7 @@ resume at the destination.  Outcome timestamps follow the paper's three
 measured segments: *suspension* (suspend + snapshot), *migration* (the
 mobile agent's journey) and *resumption* (restore + rebind + adapt +
 remote-data open).  A phase that pays a sim-time cost (scaled by
-:class:`MobilityConfig` and the host's CPU factor) schedules
+this module's cost constants and the host's CPU factor) schedules
 ``ctx.complete_phase`` on the loop for when the cost is paid.
 
 The "fipa" stack inserts a pre-transfer ``propose/accept/reject``
@@ -64,29 +64,25 @@ from repro.core.mobile_agent import MDMobileAgent
 CAPABILITY_PROTOCOL = "md-capability"
 
 
-@dataclass
-class MobilityConfig:
-    """Cost knobs for the application-level migration phases.
+# Cost constants of the application-level migration phases, calibrated
+# so the paper's testbed regime (10 Mbps link, single-PC-class hosts)
+# lands near its reported phase magnitudes.  Every CPU-bound term scales
+# with the host's ``cpu_factor``.
 
-    Calibrated so the paper's testbed regime (10 Mbps link, single-PC-class
-    hosts) lands near its reported phase magnitudes; all CPU-bound terms
-    scale with the host's ``cpu_factor``.
-    """
-
-    #: Suspension: stop the app + capture the snapshot.
-    suspend_base_ms: float = 90.0
-    snapshot_ms_per_mb: float = 25.0
-    #: Clone-dispatch does not stop the source app; it only snapshots.
-    clone_snapshot_base_ms: float = 25.0
-    #: Resumption: restore state, rebind resources, adapt, restart.
-    resume_base_ms: float = 180.0
-    restore_ms_per_mb: float = 40.0
-    rebind_ms_per_resource: float = 8.0
-    adapt_ms: float = 12.0
-    #: Remote data open ("played remotely through URL"): a fixed handshake
-    #: plus fetching this fraction of the file (seek tables / first buffer).
-    remote_open_base_ms: float = 100.0
-    remote_open_fraction: float = 0.04
+#: Suspension: stop the app + capture the snapshot.
+SUSPEND_BASE_MS = 90.0
+SNAPSHOT_MS_PER_MB = 25.0
+#: Clone-dispatch does not stop the source app; it only snapshots.
+CLONE_SNAPSHOT_BASE_MS = 25.0
+#: Resumption: restore state, rebind resources, adapt, restart.
+RESUME_BASE_MS = 180.0
+RESTORE_MS_PER_MB = 40.0
+REBIND_MS_PER_RESOURCE = 8.0
+ADAPT_MS = 12.0
+#: Remote data open ("played remotely through URL"): a fixed handshake
+#: plus fetching this fraction of the file (seek tables / first buffer).
+REMOTE_OPEN_BASE_MS = 100.0
+REMOTE_OPEN_FRACTION = 0.04
 
 
 def plan_to_dict(plan: MigrationPlan) -> Dict[str, Any]:
@@ -799,7 +795,6 @@ class CapturePhase(MiddlewarePhase):
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
         loop = middleware.loop
-        config = middleware.config.mobility
         app = ctx.app
         plan = ctx.plan
         cpu = middleware.host.cpu_factor
@@ -808,11 +803,11 @@ class CapturePhase(MiddlewarePhase):
         ctx.snapshot = snapshot
         size_mb = snapshot.size_bytes / 1e6
         if plan.kind is MigrationKind.FOLLOW_ME:
-            suspend_cost = (config.suspend_base_ms
-                            + config.snapshot_ms_per_mb * size_mb) * cpu
+            suspend_cost = (SUSPEND_BASE_MS
+                            + SNAPSHOT_MS_PER_MB * size_mb) * cpu
         else:
-            suspend_cost = (config.clone_snapshot_base_ms
-                            + config.snapshot_ms_per_mb * size_mb) * cpu
+            suspend_cost = (CLONE_SNAPSHOT_BASE_MS
+                            + SNAPSHOT_MS_PER_MB * size_mb) * cpu
         loop.call_later(suspend_cost, ctx.complete_phase)
 
 
@@ -943,14 +938,12 @@ class CheckinPhase(MiddlewarePhase):
                 outcome.log(f"merged carried components: {merged}")
         ctx.dest_app = app
         ctx.snapshot_data = snapshot_data
-        config = middleware.config.mobility
         cpu = middleware.host.cpu_factor
         size_mb = snapshot_data.get("size_bytes", 0) / 1e6
-        resume_cost = (config.resume_base_ms
-                       + config.restore_ms_per_mb * size_mb
-                       + config.rebind_ms_per_resource
-                       * len(plan.resource_rebinds)
-                       + config.adapt_ms) * cpu
+        resume_cost = (RESUME_BASE_MS
+                       + RESTORE_MS_PER_MB * size_mb
+                       + REBIND_MS_PER_RESOURCE * len(plan.resource_rebinds)
+                       + ADAPT_MS) * cpu
         loop.call_later(resume_cost, ctx.complete_phase)
 
     def rollback(self, ctx: MigrationContext) -> None:
@@ -996,11 +989,9 @@ class RebindPhase(MiddlewarePhase):
         if remote_total > 0:
             # "They will be played remotely through URL in the original
             # host": open the stream by fetching the initial fraction.
-            fetch_bytes = int(remote_total
-                              * middleware.config.mobility.remote_open_fraction)
+            fetch_bytes = int(remote_total * REMOTE_OPEN_FRACTION)
             loop.call_later(
-                middleware.config.mobility.remote_open_base_ms,
-                middleware.fetch_remote_data, plan.source, plan.app_name,
+                REMOTE_OPEN_BASE_MS, middleware.fetch_remote_data, plan.source, plan.app_name,
                 fetch_bytes, ctx.complete_phase, ctx.fail)
             if outcome is not None:
                 outcome.log(f"opening remote data: fetching {fetch_bytes} B "
@@ -1163,8 +1154,7 @@ class PackPhase(MiddlewarePhase):
         outcome.begin_spans(loop.observability, "app.prestage", "migration",
                             middleware.host, app=plan.app_name,
                             source=plan.source, destination=plan.destination)
-        pack_cost = (middleware.config.mobility.clone_snapshot_base_ms
-                     * middleware.host.cpu_factor)
+        pack_cost = CLONE_SNAPSHOT_BASE_MS * middleware.host.cpu_factor
         loop.call_later(pack_cost, ctx.complete_phase)
 
 
@@ -1237,8 +1227,7 @@ class InstallPhase(MiddlewarePhase):
             if outcome is not None and merged:
                 outcome.log(f"merged carried components: {merged}")
         ctx.dest_app = app
-        install_cost = (middleware.config.mobility.clone_snapshot_base_ms
-                        * middleware.host.cpu_factor)
+        install_cost = CLONE_SNAPSHOT_BASE_MS * middleware.host.cpu_factor
         loop.call_later(install_cost, ctx.complete_phase)
 
     def describe_error(self, ctx: MigrationContext,
