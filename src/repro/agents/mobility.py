@@ -293,6 +293,9 @@ class MobilityService:
         # migration must not leak receiver state), and the table is bounded
         # as a backstop against pathological churn.
         self._rx_chunks: dict = {}
+        # Same keys -> the payload of a final chunk that arrived while an
+        # earlier chunk was still missing; dropped wherever _rx_chunks is.
+        self._rx_final: dict = {}
         # Recently finished (completed or failed) transfer keys: stragglers
         # from a superseded window round dedup here instead of resurrecting
         # a fresh _rx_chunks entry.  Bounded FIFO.
@@ -676,6 +679,7 @@ class MobilityService:
             # dedup state; remember the key so stragglers dedup cleanly.
             key = (result.destination, transfer.transfer_id)
             self._rx_chunks.pop(key, None)
+            self._rx_final.pop(key, None)
             self._mark_rx_done(key)
         result.end_spans(failed=True, reason=reason)
         result._finish()
@@ -705,17 +709,20 @@ class MobilityService:
                 if oldest == key:
                     break  # never evict the transfer being served
                 self._rx_chunks.pop(oldest)
+                self._rx_final.pop(oldest, None)
         duplicate = seq in seen
         seen.add(seq)
-        if inner is None:  # intermediate chunk: ack only
-            if duplicate:  # re-delivery of an already-accepted chunk
-                self._dedup(container, None)
+        if inner is not None:
+            self._rx_final[key] = inner
+        elif duplicate:  # re-delivery of an already-accepted chunk
+            self._dedup(container, None)
             return
         if len(seen) < total:
-            # The payload-bearing final chunk outran a lost earlier chunk
-            # (pipelined window + loss); hold the check-in until the
-            # go-back-N retransmit fills the hole.
+            # The final chunk outran an earlier one (a loss, or the
+            # fair-share lane finishing a short last chunk first): its
+            # payload waits until whichever chunk completes the set.
             return
+        inner = self._rx_final.pop(key)
         self._rx_chunks.pop(key, None)
         self._mark_rx_done(key)
         # A duplicate final chunk falls through: either the transfer

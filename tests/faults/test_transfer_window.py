@@ -2,8 +2,9 @@
 
 Covers the window protocol (pipelining, go-back-N resume, determinism of
 window=1 against the frozen stop-and-wait golden) and the satellite
-regressions: the ``_rx_chunks`` leak, cost-model validation, and the
-zero-byte degenerate chunk plan.
+regressions: the ``_rx_chunks`` leak, a final chunk that arrives before
+an earlier one, cost-model validation, and the zero-byte degenerate chunk
+plan.
 """
 
 import importlib.util
@@ -206,7 +207,12 @@ def test_windowed_migration_survives_lossy_link():
     assert outcome.transfer_retries > 0  # the loss actually bit
 
 
-# -- _rx_chunks leak (satellite) ----------------------------------------------
+# -- receiver chunk tables ----------------------------------------------------
+
+class FakeMessage:
+    def __init__(self, payload):
+        self.payload = payload
+
 
 def rig():
     loop = EventLoop()
@@ -262,10 +268,6 @@ def test_rx_chunks_table_is_bounded():
     loop, net, platform, c1, c2 = rig()
     mobility = platform.mobility
 
-    class FakeMessage:
-        def __init__(self, payload):
-            self.payload = payload
-
     for transfer_id in range(2 * mobility._RX_CHUNKS_MAX):
         mobility._on_transfer(
             c2, FakeMessage(("chunk", transfer_id, 0, 3, None)))
@@ -281,16 +283,32 @@ def test_straggler_chunk_after_completion_dedups_without_resurrecting():
     assert result.completed
     assert platform.mobility._rx_chunks == {}
 
-    class FakeMessage:
-        def __init__(self, payload):
-            self.payload = payload
-
     # A delayed duplicate of an intermediate chunk arrives after check-in.
     key_id = next(iter(platform.mobility._rx_done))[1]
     platform.mobility._on_transfer(
         c2, FakeMessage(("chunk", key_id, 0, result.chunks_total, None)))
     assert platform.mobility._rx_chunks == {}  # not resurrected
     assert platform.mobility.dedup_hits >= 1
+
+
+def test_final_chunk_before_an_intermediate_one_checks_in_once():
+    """Nothing lost, but the fair-share lane finished the short final
+    chunk first: its payload waits for the chunk that completes the set."""
+    loop, net, platform, c1, c2 = rig()
+    mobility = platform.mobility
+    result = MigrationResult(agent_name="early", source="h1",
+                             destination="h2")
+    inner = (AgentSnapshot("WindowCourier", "early", {}), [], "move", result)
+    for seq in (0, 2, 1):
+        mobility._on_transfer(c2, FakeMessage(
+            ("chunk", 7, seq, 3, inner if seq == 2 else None)))
+    loop.run()
+    assert result.completed
+    assert mobility.moves_completed == 1
+    assert mobility.dedup_hits == 0
+    assert c2.has_agent("early")
+    assert mobility._rx_chunks == {}
+    assert mobility._rx_final == {}
 
 
 # -- zero-byte degenerate transfer --------------------------------------------

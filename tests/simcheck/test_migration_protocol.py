@@ -61,6 +61,18 @@ class TestFipaScenarios:
             "capability negotiation with h10 timed out"]
 
 
+class TestEarlyFinalChunk:
+    @pytest.mark.parametrize("seed", [2132, 5625, 6352, 9198])
+    def test_migration_terminates(self, seed):
+        """The payload-bearing final chunk arrived while an earlier chunk
+        was still missing, and the receiver dropped its payload: the
+        agent never checked in, the migration never terminated and the
+        receiver's chunk table leaked."""
+        report = run_scenario(generate_scenario(seed))
+        assert report.ok, [str(v) for v in report.violations]
+        assert {leg.status for leg in report.legs} == {"completed"}
+
+
 class TestWedgedMigrationSabotage:
     def test_hook_registered_with_its_violation(self):
         assert "wedged-migration" in SABOTAGE_HOOKS
