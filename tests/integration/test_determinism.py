@@ -6,6 +6,11 @@ divergence means hidden global state (a module-level counter, an id()
 keyed cache, wall-clock leakage) crept back into the simulation.
 """
 
+import importlib
+import itertools
+import pkgutil
+
+import repro
 from repro import BindingPolicy, Deployment
 from repro.apps import MusicPlayerApp
 from repro.faults import FaultConfig
@@ -78,3 +83,32 @@ class TestSimcheckScenarioDeterminism:
     def test_fuzzed_scenario_double_run_digest(self):
         verdict = check_determinism(generate_scenario(3))
         assert verdict["deterministic"], verdict["digests"]
+
+
+def _global_counters():
+    """Every module- or class-level ``itertools.count`` under ``repro``."""
+    found = {}
+    names = ["repro"] + [info.name for info in
+                         pkgutil.walk_packages(repro.__path__, "repro.")]
+    for name in names:
+        module = importlib.import_module(name)
+        for attr, value in vars(module).items():
+            if isinstance(value, itertools.count):
+                found[(name, attr)] = value
+            elif isinstance(value, type) and value.__module__ == name:
+                for cattr, cvalue in vars(value).items():
+                    if isinstance(cvalue, itertools.count):
+                        found[(name, attr, cattr)] = cvalue
+    return found
+
+
+def test_reset_global_state_reseeds_every_global_counter():
+    """A global id counter that reset_global_state misses carries one
+    run's ids into the next run in the same process."""
+    before = _global_counters()
+    assert ("repro.core.snapshot", "SnapshotManager", "_ids") in before
+    reset_global_state()
+    after = _global_counters()
+    missed = sorted(key for key, counter in before.items()
+                    if after[key] is counter)
+    assert missed == []
