@@ -725,9 +725,8 @@ class MobilityService:
         inner = self._rx_final.pop(key)
         self._rx_chunks.pop(key, None)
         self._mark_rx_done(key)
-        # A duplicate final chunk falls through: either the transfer
-        # already checked in (the _arrived guard below dedups it) or a
-        # retransmitted final just completed a recovered window.
+        # A straggler whose key _rx_done has already forgotten gets here
+        # too; the _arrived guard below dedups it.
         snapshot, carried, kind, result = inner
         if result._arrived:  # duplicate delivery of the whole transfer
             self._dedup(container, result)

@@ -991,8 +991,9 @@ class RebindPhase(MiddlewarePhase):
             # host": open the stream by fetching the initial fraction.
             fetch_bytes = int(remote_total * REMOTE_OPEN_FRACTION)
             loop.call_later(
-                REMOTE_OPEN_BASE_MS, middleware.fetch_remote_data, plan.source, plan.app_name,
-                fetch_bytes, ctx.complete_phase, ctx.fail)
+                REMOTE_OPEN_BASE_MS, middleware.fetch_remote_data,
+                plan.source, plan.app_name, fetch_bytes, ctx.complete_phase,
+                ctx.fail)
             if outcome is not None:
                 outcome.log(f"opening remote data: fetching {fetch_bytes} B "
                             f"from {plan.source}")
