@@ -2,16 +2,17 @@
 
 The paper's prototype runs on JADE 3.4; "both autonomous agents and mobile
 agents are implemented as specific agents inheriting JADE's Agent class".
-This package provides the slice of JADE the middleware depends on:
+This package provides the slice of JADE the middleware runs -- agent
+lifecycle, messaging and weak migration -- and nothing more:
 
 - :mod:`repro.agents.acl` -- FIPA-ACL messages and performatives.
 - :mod:`repro.agents.agent` -- the Agent base class with the JADE lifecycle
-  (initiated / active / suspended / transit) and a message queue.
-- :mod:`repro.agents.behaviours` -- one-shot / cyclic / ticker / waker / FSM
-  behaviours scheduled cooperatively.
+  (initiated / active / transit / deleted) and a message queue.
+- :mod:`repro.agents.behaviours` -- the behaviour base and the cyclic
+  message pump, scheduled cooperatively.
+- :mod:`repro.agents.protocols` -- the FIPA Propose and Contract Net roles.
 - :mod:`repro.agents.platform` -- per-host containers, the platform AMS and
   the message transport over :mod:`repro.net`.
-- :mod:`repro.agents.directory` -- a DF-style yellow-pages service.
 - :mod:`repro.agents.serialization` -- size-accounted state serialization.
 - :mod:`repro.agents.mobility` -- the check-out / transfer / check-in mobile
   agent migration protocol, plus cloning for clone-dispatch mobility.
@@ -19,16 +20,7 @@ This package provides the slice of JADE the middleware depends on:
 
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent, AgentError, AgentState
-from repro.agents.behaviours import (
-    Behaviour,
-    CyclicBehaviour,
-    FSMBehaviour,
-    OneShotBehaviour,
-    SequentialBehaviour,
-    TickerBehaviour,
-    WakerBehaviour,
-)
-from repro.agents.directory import DirectoryFacilitator, ServiceDescription
+from repro.agents.behaviours import Behaviour, CyclicBehaviour
 from repro.agents.mobility import CloneResult, MigrationResult, MobilityService
 from repro.agents.platform import AgentContainer, AgentPlatform, PlatformError
 from repro.agents.serialization import (
@@ -50,18 +42,11 @@ __all__ = [
     "Behaviour",
     "CloneResult",
     "CyclicBehaviour",
-    "DirectoryFacilitator",
-    "FSMBehaviour",
     "MigrationResult",
     "MobilityService",
-    "OneShotBehaviour",
     "Performative",
     "PlatformError",
-    "SequentialBehaviour",
     "SerializationError",
-    "ServiceDescription",
-    "TickerBehaviour",
-    "WakerBehaviour",
     "deep_size_bytes",
     "register_agent_type",
     "registered_agent_type",

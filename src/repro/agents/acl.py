@@ -20,7 +20,6 @@ class Performative(enum.Enum):
 
     INFORM = "inform"
     REQUEST = "request"
-    QUERY = "query"
     AGREE = "agree"
     REFUSE = "refuse"
     CONFIRM = "confirm"
@@ -28,8 +27,6 @@ class Performative(enum.Enum):
     PROPOSE = "propose"
     ACCEPT_PROPOSAL = "accept-proposal"
     REJECT_PROPOSAL = "reject-proposal"
-    SUBSCRIBE = "subscribe"
-    CANCEL = "cancel"
 
 
 def split_aid(aid: str) -> Tuple[str, str]:

@@ -4,11 +4,11 @@ Agents live in a container on a host; their activity is a set of
 :mod:`behaviours <repro.agents.behaviours>` stepped by the container, and
 they exchange :mod:`ACL messages <repro.agents.acl>` through the platform.
 
-Lifecycle (JADE's agent FSM): INITIATED -> ACTIVE <-> SUSPENDED, ACTIVE ->
-TRANSIT (migration in flight) -> ACTIVE at the destination, any -> DELETED.
-Suspended/in-transit agents keep receiving messages into their queue but do
-not run until resumed -- which is exactly what application components rely
-on across a migration.
+Lifecycle (JADE's agent FSM): INITIATED -> ACTIVE, ACTIVE -> TRANSIT
+(migration in flight) -> ACTIVE at the destination, any -> DELETED.
+Messages that arrive while an agent is in transit are carried or buffered
+and handed to it at the destination -- which is exactly what application
+components rely on across a migration.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class AgentError(RuntimeError):
 class AgentState(enum.Enum):
     INITIATED = "initiated"
     ACTIVE = "active"
-    SUSPENDED = "suspended"
     TRANSIT = "transit"
     DELETED = "deleted"
 
@@ -54,7 +53,6 @@ class Agent:
         self.behaviours: List[Behaviour] = []
         self._queue: Deque[ACLMessage] = deque()
         self._step_scheduled = False
-        self.messages_handled = 0
 
     # -- identity ----------------------------------------------------------
 
@@ -151,7 +149,6 @@ class Agent:
         for i, message in enumerate(self._queue):
             if message.matches(**template):
                 del self._queue[i]
-                self.messages_handled += 1
                 return message
         return None
 
@@ -180,7 +177,6 @@ class Agent:
                 behaviour.on_start()
                 if behaviour.blocked:
                     continue
-            behaviour.runs += 1
             behaviour.action()
             progressed = True
             if behaviour.done():
@@ -199,9 +195,8 @@ class Agent:
     # -- lifecycle transitions -----------------------------------------------------
 
     def do_activate(self) -> None:
-        """INITIATED/SUSPENDED -> ACTIVE."""
-        if self.state not in (AgentState.INITIATED, AgentState.SUSPENDED,
-                              AgentState.TRANSIT):
+        """INITIATED/TRANSIT -> ACTIVE."""
+        if self.state not in (AgentState.INITIATED, AgentState.TRANSIT):
             raise AgentError(f"cannot activate from {self.state}")
         first_start = self.state is AgentState.INITIATED
         self.state = AgentState.ACTIVE
@@ -212,11 +207,6 @@ class Agent:
                 behaviour._needs_start = False
                 behaviour.on_start()
         self.schedule_step()
-
-    def do_suspend(self) -> None:
-        if self.state is not AgentState.ACTIVE:
-            raise AgentError(f"cannot suspend from {self.state}")
-        self.state = AgentState.SUSPENDED
 
     def do_delete(self) -> None:
         if self.state is AgentState.DELETED:

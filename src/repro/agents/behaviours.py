@@ -3,21 +3,16 @@
 A behaviour encapsulates one strand of an agent's activity.  The container
 steps an agent by running each of its non-blocked behaviours once; a
 behaviour that has nothing to do MUST call :meth:`Behaviour.block` (wake on
-next message, or after a timeout), otherwise it spins.
+the next message), otherwise it spins.
 
-Provided schedulers:
-
-- :class:`OneShotBehaviour` -- runs ``action`` once.
-- :class:`CyclicBehaviour` -- runs forever until removed (message pumps).
-- :class:`WakerBehaviour` -- runs once after a delay.
-- :class:`TickerBehaviour` -- runs periodically.
-- :class:`SequentialBehaviour` -- children run back-to-back.
-- :class:`FSMBehaviour` -- children as states with exit-code transitions.
+The middleware's agents run message pumps (:class:`CyclicBehaviour`) and
+the FIPA protocol roles of :mod:`repro.agents.protocols`, which subclass
+:class:`Behaviour` directly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agents.agent import Agent
@@ -30,10 +25,6 @@ class Behaviour:
         self.name = name or type(self).__name__
         self.agent: Optional["Agent"] = None
         self.blocked = False
-        self._block_timer = None
-        #: Exit code consumed by FSMBehaviour transitions.
-        self.exit_code: int = 0
-        self.runs = 0
 
     # -- lifecycle hooks ----------------------------------------------------
 
@@ -53,47 +44,16 @@ class Behaviour:
 
     # -- blocking -------------------------------------------------------------
 
-    def block(self, timeout_ms: Optional[float] = None) -> None:
-        """Park until the next message arrives (or the timeout fires)."""
+    def block(self) -> None:
+        """Park until the next message arrives."""
         self.blocked = True
-        if timeout_ms is not None and self.agent is not None:
-            loop = self.agent.loop
-            self._block_timer = loop.call_later(timeout_ms, self._unblock_and_wake)
-
-    def _unblock_and_wake(self) -> None:
-        self._block_timer = None
-        if self.blocked:
-            self.blocked = False
-            if self.agent is not None:
-                self.agent.schedule_step()
 
     def restart(self) -> None:
         """Clear the blocked flag (a message arrived)."""
         self.blocked = False
-        if self._block_timer is not None:
-            self._block_timer.cancel()
-            self._block_timer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class OneShotBehaviour(Behaviour):
-    """Runs ``action`` exactly once."""
-
-    def __init__(self, action: Optional[Callable[[], None]] = None,
-                 name: str = ""):
-        super().__init__(name)
-        self._action = action
-        self._ran = False
-
-    def action(self) -> None:
-        if self._action is not None:
-            self._action()
-        self._ran = True
-
-    def done(self) -> bool:
-        return self._ran
 
 
 class CyclicBehaviour(Behaviour):
@@ -108,266 +68,5 @@ class CyclicBehaviour(Behaviour):
         handle(msg)
     """
 
-    def __init__(self, action: Optional[Callable[[], None]] = None,
-                 name: str = ""):
-        super().__init__(name)
-        self._action = action
-
-    def action(self) -> None:
-        if self._action is None:
-            raise NotImplementedError("pass action= or subclass")
-        self._action()
-
     def done(self) -> bool:
         return False
-
-
-class WakerBehaviour(Behaviour):
-    """Runs ``on_wake`` once, ``delay_ms`` after scheduling."""
-
-    def __init__(self, delay_ms: float, on_wake: Optional[Callable[[], None]] = None,
-                 name: str = ""):
-        super().__init__(name)
-        self.delay_ms = float(delay_ms)
-        self._on_wake = on_wake
-        self._armed = False
-        self._woke = False
-
-    def on_start(self) -> None:
-        self.block()
-        if self.agent is not None:
-            self.agent.loop.call_later(self.delay_ms, self._arm)
-
-    def _arm(self) -> None:
-        self._armed = True
-        self.restart()
-        if self.agent is not None:
-            self.agent.schedule_step()
-
-    def action(self) -> None:
-        if not self._armed:
-            self.block()
-            return
-        self.on_wake()
-        self._woke = True
-
-    def on_wake(self) -> None:
-        if self._on_wake is not None:
-            self._on_wake()
-
-    def done(self) -> bool:
-        return self._woke
-
-
-class TickerBehaviour(Behaviour):
-    """Runs ``on_tick`` every ``period_ms`` until stopped."""
-
-    def __init__(self, period_ms: float, on_tick: Optional[Callable[[], None]] = None,
-                 name: str = ""):
-        super().__init__(name)
-        if period_ms <= 0:
-            raise ValueError("period must be positive")
-        self.period_ms = float(period_ms)
-        self._on_tick = on_tick
-        self._due = False
-        self._stopped = False
-
-    def on_start(self) -> None:
-        self.block()
-        self._schedule_tick()
-
-    def _schedule_tick(self) -> None:
-        if self.agent is not None and not self._stopped:
-            self.agent.loop.call_later(self.period_ms, self._fire)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._due = True
-        self.restart()
-        if self.agent is not None:
-            self.agent.schedule_step()
-
-    def action(self) -> None:
-        if not self._due:
-            self.block()
-            return
-        self._due = False
-        self.on_tick()
-        if not self._stopped:
-            self.block()
-            self._schedule_tick()
-
-    def on_tick(self) -> None:
-        if self._on_tick is not None:
-            self._on_tick()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def done(self) -> bool:
-        return self._stopped
-
-
-class SequentialBehaviour(Behaviour):
-    """Runs child behaviours one after another.
-
-    The composite's blocked state *is* the active child's blocked state, so
-    a child unblocked by its own timer (Waker/Ticker) transparently
-    unblocks the sequence.
-    """
-
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self._children: List[Behaviour] = []
-        self._index = 0
-        self._started_current = False
-
-    @property
-    def blocked(self) -> bool:  # type: ignore[override]
-        child = self.current
-        if child is not None and self._started_current:
-            return child.blocked
-        return False
-
-    @blocked.setter
-    def blocked(self, value: bool) -> None:
-        # Composites only ever block on behalf of a child; the base
-        # class's block()/restart() writes are absorbed here.
-        pass
-
-    def add_child(self, child: Behaviour) -> "SequentialBehaviour":
-        self._children.append(child)
-        return self
-
-    @property
-    def current(self) -> Optional[Behaviour]:
-        if self._index < len(self._children):
-            return self._children[self._index]
-        return None
-
-    def on_start(self) -> None:
-        for child in self._children:
-            child.agent = self.agent
-
-    def action(self) -> None:
-        child = self.current
-        if child is None:
-            return
-        if not self._started_current:
-            child.agent = self.agent
-            child.on_start()
-            self._started_current = True
-        if child.blocked:
-            self.block()
-            return
-        child.action()
-        if child.done():
-            child.on_end()
-            self._index += 1
-            self._started_current = False
-        elif child.blocked:
-            self.block()
-
-    def restart(self) -> None:
-        super().restart()
-        child = self.current
-        if child is not None:
-            child.restart()
-
-    def done(self) -> bool:
-        return self._index >= len(self._children)
-
-
-class FSMBehaviour(Behaviour):
-    """Children as named states; transitions keyed by child exit codes.
-
-    Default transitions (event ``None``) fire for any exit code without an
-    explicit transition.  States registered as final end the FSM.  As with
-    :class:`SequentialBehaviour`, the FSM's blocked state mirrors the
-    active state's, so timer-driven children unblock it transparently.
-    """
-
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self._states: Dict[str, Behaviour] = {}
-        self._transitions: Dict[Tuple[str, Optional[int]], str] = {}
-        self._final: set = set()
-        self._initial: Optional[str] = None
-        self._current: Optional[str] = None
-        self._started_current = False
-        self._finished = False
-        self.visited: List[str] = []
-
-    @property
-    def blocked(self) -> bool:  # type: ignore[override]
-        if self._current is not None and self._started_current:
-            return self._states[self._current].blocked
-        return False
-
-    @blocked.setter
-    def blocked(self, value: bool) -> None:
-        pass  # composites only block on behalf of their active child
-
-    def register_state(self, name: str, behaviour: Behaviour,
-                       initial: bool = False, final: bool = False) -> None:
-        if name in self._states:
-            raise ValueError(f"duplicate state {name!r}")
-        self._states[name] = behaviour
-        if initial:
-            if self._initial is not None:
-                raise ValueError("initial state already set")
-            self._initial = name
-        if final:
-            self._final.add(name)
-
-    def register_transition(self, source: str, target: str,
-                            event: Optional[int] = None) -> None:
-        for state in (source, target):
-            if state not in self._states:
-                raise ValueError(f"unknown state {state!r}")
-        self._transitions[(source, event)] = target
-
-    def on_start(self) -> None:
-        if self._initial is None:
-            raise ValueError("FSM has no initial state")
-        self._current = self._initial
-
-    def action(self) -> None:
-        if self._finished or self._current is None:
-            return
-        child = self._states[self._current]
-        if not self._started_current:
-            child.agent = self.agent
-            child.on_start()
-            self._started_current = True
-            self.visited.append(self._current)
-        if child.blocked:
-            self.block()
-            return
-        child.action()
-        if child.done():
-            child.on_end()
-            self._started_current = False
-            if self._current in self._final:
-                self._finished = True
-                return
-            key = (self._current, child.exit_code)
-            target = self._transitions.get(key)
-            if target is None:
-                target = self._transitions.get((self._current, None))
-            if target is None:
-                raise RuntimeError(
-                    f"FSM {self.name!r}: no transition from "
-                    f"{self._current!r} on exit code {child.exit_code}")
-            self._current = target
-        elif child.blocked:
-            self.block()
-
-    def restart(self) -> None:
-        super().restart()
-        if self._current is not None and self._started_current:
-            self._states[self._current].restart()
-
-    def done(self) -> bool:
-        return self._finished

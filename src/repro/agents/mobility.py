@@ -313,7 +313,7 @@ class MobilityService:
         container = agent.container
         if container is None:
             raise AgentError("agent is not in a container")
-        if agent.state not in (AgentState.ACTIVE, AgentState.SUSPENDED):
+        if agent.state is not AgentState.ACTIVE:
             raise AgentError(f"cannot move agent in state {agent.state}")
         if destination_host == container.host_name:
             raise AgentError("destination equals current host")
@@ -389,8 +389,6 @@ class MobilityService:
         carried = list(agent._queue)
         agent._queue.clear()
         container.remove_agent(agent)
-        self.platform.df.deregister_owner(
-            f"{agent.local_name}@{container.host_name}")
         self._send_snapshot(container, snapshot, carried, result, kind)
 
     def _send_snapshot(self, container: "AgentContainer",

@@ -2,9 +2,8 @@
 
 One :class:`AgentContainer` runs per host (as in JADE); the
 :class:`AgentPlatform` spans the deployment, routing ACL messages between
-containers over the simulated network, tracking where each agent lives
-(AMS white pages), and hosting the yellow-pages
-:class:`~repro.agents.directory.DirectoryFacilitator`.
+containers over the simulated network and tracking where each agent lives
+(AMS white pages).
 
 Messages to agents that are mid-migration are buffered at the destination
 container and flushed on check-in, so conversations survive a move.
@@ -16,7 +15,6 @@ from typing import Dict, List, Optional, Type
 
 from repro.agents.acl import ACLMessage, split_aid
 from repro.agents.agent import Agent
-from repro.agents.directory import DirectoryFacilitator
 from repro.agents.serialization import SerializationError, deep_size_bytes
 from repro.net.kernel import EventLoop
 from repro.net.simnet import Host, Message, Network, register_bulk_protocol
@@ -140,7 +138,7 @@ class AgentContainer:
 
 
 class AgentPlatform:
-    """The deployment-wide agent platform (AMS + transport + DF)."""
+    """The deployment-wide agent platform (AMS + transport)."""
 
     def __init__(self, network: Network):
         self.network = network
@@ -148,64 +146,11 @@ class AgentPlatform:
         self._containers: Dict[str, AgentContainer] = {}
         # AMS white pages: local agent name -> host name.
         self._locations: Dict[str, str] = {}
-        self.df = DirectoryFacilitator(clock=lambda: self.loop.now)
         self.messages_sent = 0
         self.messages_failed = 0
         self.undelivered_buffered = 0
-        self._lease_until = 0.0
         from repro.agents.mobility import MobilityService
         self.mobility = MobilityService(self)
-
-    # -- DF leases ---------------------------------------------------------------
-
-    def enable_df_leases(self, lease_ms: float,
-                         horizon_ms: float = 60_000.0) -> None:
-        """Expire yellow-pages entries of agents that stop renewing.
-
-        Containers on *online* hosts renew their agents' registrations every
-        ``lease_ms / 2``; a crashed host stops renewing, so its agents fall
-        out of the directory within one lease.  Renewal ticks stop
-        ``horizon_ms`` after enabling so ``run_until_idle`` still quiesces.
-
-        Expiry itself is timer-driven: the DF keeps a timer armed at the
-        earliest lease deadline, so a crashed host's entries drop at their
-        expiry sim-time -- not at the next search or renewal tick -- and
-        each one emits a ``fault.lease_expired`` hook event.
-        """
-        if lease_ms <= 0:
-            raise PlatformError(f"lease_ms must be positive: {lease_ms}")
-        self.df.default_lease_ms = lease_ms
-        self.df.schedule = self.loop.call_later
-        self.df.on_expired = self._on_df_lease_expired
-        self.df.release_all()
-        self._lease_until = self.loop.now + horizon_ms
-        interval = lease_ms / 2
-        self.loop.call_later(interval, self._lease_tick, interval)
-
-    def _lease_tick(self, interval: float) -> None:
-        for container in self.containers:
-            if not container.host.online:
-                continue  # a crashed host cannot renew its agents' leases
-            for agent in container.agents:
-                self.df.renew_owner(
-                    f"{agent.local_name}@{container.host_name}")
-        self.df.sweep_expired()
-        if self.loop.now + interval <= self._lease_until:
-            self.loop.call_later(interval, self._lease_tick, interval)
-        else:
-            # Renewals are over: freeze the directory instead of letting
-            # the expiry timer reap every live host's entries.
-            self.df.disarm()
-
-    def _on_df_lease_expired(self, service) -> None:
-        obs = self.loop.observability
-        if obs is None:
-            return
-        obs.metrics.counter("df.lease_expired").inc()
-        if obs.hooks:
-            obs.emit("fault.lease_expired", scope="df", name=service.name,
-                     service_type=service.service_type, owner=service.owner,
-                     expired_at=self.loop.now)
 
     # -- containers -----------------------------------------------------------
 

@@ -1094,7 +1094,6 @@ class Deployment:
             "agent_transfer_retries": self.platform.mobility.transfer_retries,
             "agent_transfers_resumed": self.platform.mobility.transfers_resumed,
             "agent_checkin_dedup_hits": self.platform.mobility.dedup_hits,
-            "df_leases_expired": self.platform.df.leases_expired,
             "faults_fired": (self.chaos.faults_fired
                              if self.chaos is not None else 0),
             "faults_reverted": (self.chaos.faults_reverted

@@ -65,11 +65,6 @@ class FaultConfig:
     #: recovery window -- enough to ride out sub-second link flaps; the
     #: migration deadline is the real upper bound.
     max_transfer_retries: Optional[int] = None
-    #: Directory-facilitator lease duration (0 keeps eternal registrations).
-    df_lease_ms: float = 0.0
-    #: How long lease-renewal ticks keep running after arming (bounded so
-    #: ``run_all`` still quiesces).
-    lease_horizon_ms: float = 60_000.0
 
     def __post_init__(self) -> None:
         if self.arm not in ("first-migration", "first-run", "manual"):
@@ -145,10 +140,6 @@ class ChaosEngine:
         self.plan.validate()
         for spec in self.plan.sorted_faults():
             loop.call_at(self.armed_at + spec.at_ms, self._fire, spec)
-        if self.config.df_lease_ms > 0:
-            self.deployment.platform.enable_df_leases(
-                self.config.df_lease_ms,
-                horizon_ms=self.config.lease_horizon_ms)
 
     def _generate_plan(self) -> FaultPlan:
         if self.config.random_faults <= 0:

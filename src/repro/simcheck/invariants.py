@@ -30,9 +30,9 @@ simulation's own conservation laws):
   event is balanced by exactly one ``registry.response`` or
   ``registry.fail`` by quiescence (a leaked in-flight request stays
   unbalanced);
-- **no zombie leases** -- at quiescence, no DF service and no registry
-  shard record whose lease deadline has passed is still present while
-  active expiry is armed.
+- **no zombie leases** -- at quiescence, no registry shard record whose
+  lease deadline has passed is still present while active expiry is
+  armed.
 """
 
 from __future__ import annotations
@@ -310,23 +310,7 @@ class InvariantChecker:
 
     def _check_leases(self) -> None:
         now = self.deployment.loop.now
-        df = self.deployment.platform.df
-        # schedule is None when leases were never enabled or when the
-        # renewal horizon passed and the directory froze (legit state);
-        # with active expiry armed, an expired entry still present means
-        # the sweep machinery is broken.
-        if df.schedule is not None and df.clock is not None:
-            for service in df._services:
-                if service.expires_at is not None \
-                        and service.expires_at <= now:
-                    self.record(
-                        "zombie-lease",
-                        f"DF service {service.name!r} "
-                        f"(owner {service.owner!r}) expired at "
-                        f"{service.expires_at:.1f} ms but is still "
-                        f"registered", name=service.name,
-                        owner=service.owner)
-        federation = getattr(self.deployment, "federation", None)
+        federation = self.deployment.federation
         if federation is None:
             return
         for space, shard in sorted(federation.shards.items()):

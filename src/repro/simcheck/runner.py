@@ -63,8 +63,8 @@ def behaviour_digest(observability, *deployments) -> str:
     dropped message, every migration's terminal record) with each given
     deployment's totals at quiescence: the byte ledger and per-link
     carried bytes, the receiver and dedup table sizes, registry calls per
-    client, host clock readings, live DF leases, and outcomes that never
-    reached a terminal state.  Tracing, hooks and metric names cannot
+    client, host clock readings, live registry leases, and outcomes that
+    never reached a terminal state.  Tracing, hooks and metric names cannot
     move it.
     """
     ledger = observability.ledger
@@ -72,6 +72,8 @@ def behaviour_digest(observability, *deployments) -> str:
     for deployment in deployments:
         net = deployment.network
         mobility = deployment.platform.mobility
+        shards = (deployment.federation.shards.values()
+                  if deployment.federation is not None else ())
         totals = (
             net.bytes_on_wire, net.bytes_off_wire, net.bytes_delivered_total,
             net.retired_link_bytes,
@@ -82,9 +84,8 @@ def behaviour_digest(observability, *deployments) -> str:
                    for host, client in net.registry_clients.items()),
             [(host.name, host.clock.skew_ms, host.clock.drift_ppm)
              for host in net.hosts],
-            sorted((s.name, s.owner, s.expires_at)
-                   for s in deployment.platform.df._services
-                   if s.expires_at is not None),
+            sorted(lease for shard in shards
+                   for lease in shard.lease_deadlines().items()),
             sorted(token for token, outcome in deployment.outcomes.items()
                    if not (outcome.completed or outcome.failed)),
         )
@@ -204,15 +205,12 @@ def _sabotage_dropped_invalidation(deployment) -> None:
 
 
 def _sabotage_zombie_lease(deployment) -> None:
-    """Plant a leased DF entry whose sweeps silently do nothing."""
-    from repro.agents.directory import ServiceDescription
-
-    df = deployment.platform.df
-    df.schedule = deployment.loop.call_later
-    df.sweep_expired = lambda: 0  # the defect: expiry never drops entries
-    df.register(ServiceDescription(
-        name="zombie", service_type="ghost", owner="ghost@nowhere"),
-        lease_ms=5.0)
+    """Lease every registry record for 5 ms behind an expiry timer that
+    silently does nothing."""
+    loop = deployment.loop
+    for shard in deployment.federation.shards.values():
+        shard._on_lease_timer = lambda: None  # the defect: nothing expires
+        shard.enable_leases(5.0, lambda: loop.now, loop.call_later)
 
 
 def _sabotage_lost_reply(deployment) -> None:
@@ -293,7 +291,7 @@ SABOTAGE_VIOLATIONS = {
 #: Tags that only make sense against a federated registry; the runner
 #: flips ``scenario.federated_registry`` on for them before building.
 SABOTAGE_NEEDS_FEDERATION = frozenset(
-    {"stale-cache", "dropped-invalidation", "lost-reply"})
+    {"stale-cache", "dropped-invalidation", "lost-reply", "zombie-lease"})
 
 
 @dataclass

@@ -4,15 +4,7 @@ import pytest
 
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent, AgentError, AgentState
-from repro.agents.behaviours import (
-    CyclicBehaviour,
-    FSMBehaviour,
-    OneShotBehaviour,
-    SequentialBehaviour,
-    TickerBehaviour,
-    WakerBehaviour,
-)
-from repro.agents.directory import DirectoryFacilitator, ServiceDescription
+from repro.agents.behaviours import CyclicBehaviour
 from repro.agents.platform import AgentPlatform, PlatformError
 from repro.net.kernel import EventLoop
 from repro.net.simnet import Network
@@ -81,32 +73,11 @@ class TestLifecycle:
         with pytest.raises(PlatformError):
             c2.create_agent(Agent, "dup")
 
-    def test_suspend_blocks_execution(self, rig):
-        loop, net, platform, c1, c2 = rig
-        ticks = []
-        agent = c1.create_agent(Agent, "a1")
-        agent.add_behaviour(TickerBehaviour(10.0, lambda: ticks.append(loop.now)))
-        loop.run(until=35.0)
-        agent.do_suspend()
-        loop.run(until=100.0)
-        assert len(ticks) == 3  # t=10,20,30 then suspended
-
-    def test_suspend_resume_roundtrip(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        agent.do_suspend()
-        assert agent.state is AgentState.SUSPENDED
-        agent.do_activate()
-        assert agent.state is AgentState.ACTIVE
-
     def test_bad_transitions_rejected(self, rig):
         loop, net, platform, c1, c2 = rig
         agent = c1.create_agent(Agent, "a1")
         with pytest.raises(AgentError):
             agent.do_activate()  # already active
-        agent.do_suspend()
-        with pytest.raises(AgentError):
-            agent.do_suspend()
 
     def test_delete_calls_take_down_and_removes(self, rig):
         loop, net, platform, c1, c2 = rig
@@ -121,21 +92,6 @@ class TestLifecycle:
         assert calls == ["down"]
         assert not c1.has_agent("a1")
         assert platform.where_is("a1") is None
-
-    def test_suspended_agent_queues_messages(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(EchoAgent, "echo")
-        sender = c1.create_agent(Agent, "s")
-        agent.do_suspend()
-        msg = ACLMessage(Performative.REQUEST, receivers=["echo@h1"],
-                         content="hi").with_reply_id()
-        sender.send(msg)
-        loop.run()
-        assert agent.queue_size == 1
-        agent.do_activate()
-        loop.run()
-        assert agent.queue_size == 0
-        assert sender.queue_size == 1  # got the reply
 
 
 class TestMessaging:
@@ -240,92 +196,6 @@ class TestWherePages:
 
 
 class TestBehaviours:
-    def test_one_shot_runs_once(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        runs = []
-        agent.add_behaviour(OneShotBehaviour(lambda: runs.append(loop.now)))
-        loop.run()
-        assert len(runs) == 1
-        assert agent.behaviours == []  # removed when done
-
-    def test_waker_fires_after_delay(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        fired = []
-        agent.add_behaviour(WakerBehaviour(50.0, lambda: fired.append(loop.now)))
-        loop.run()
-        assert fired == [pytest.approx(50.0)]
-
-    def test_ticker_periodic(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        ticks = []
-        ticker = TickerBehaviour(100.0, lambda: ticks.append(loop.now))
-        agent.add_behaviour(ticker)
-        loop.run(until=450.0)
-        assert ticks == [pytest.approx(100.0), pytest.approx(200.0),
-                         pytest.approx(300.0), pytest.approx(400.0)]
-        ticker.stop()
-        loop.run(until=1000.0)
-        assert len(ticks) == 4
-
-    def test_ticker_validation(self):
-        with pytest.raises(ValueError):
-            TickerBehaviour(0)
-
-    def test_sequential_children_in_order(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        order = []
-        seq = SequentialBehaviour()
-        seq.add_child(OneShotBehaviour(lambda: order.append("first")))
-        seq.add_child(OneShotBehaviour(lambda: order.append("second")))
-        seq.add_child(OneShotBehaviour(lambda: order.append("third")))
-        agent.add_behaviour(seq)
-        loop.run()
-        assert order == ["first", "second", "third"]
-
-    def test_fsm_transitions(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        fsm = FSMBehaviour()
-
-        class Step(OneShotBehaviour):
-            def __init__(self, code):
-                super().__init__()
-                self.code = code
-
-            def action(self):
-                super().action()
-                self.exit_code = self.code
-
-        fsm.register_state("check", Step(1), initial=True)
-        fsm.register_state("migrate", Step(0))
-        fsm.register_state("done", Step(0), final=True)
-        fsm.register_transition("check", "migrate", event=1)
-        fsm.register_transition("check", "done", event=0)
-        fsm.register_transition("migrate", "done")
-        agent.add_behaviour(fsm)
-        loop.run()
-        assert fsm.visited == ["check", "migrate", "done"]
-        assert fsm.done()
-
-    def test_fsm_missing_transition_raises(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        fsm = FSMBehaviour()
-        fsm.register_state("only", OneShotBehaviour(lambda: None), initial=True)
-        agent.add_behaviour(fsm)
-        with pytest.raises(RuntimeError):
-            loop.run()
-
-    def test_fsm_duplicate_state_rejected(self):
-        fsm = FSMBehaviour()
-        fsm.register_state("s", OneShotBehaviour(lambda: None))
-        with pytest.raises(ValueError):
-            fsm.register_state("s", OneShotBehaviour(lambda: None))
-
     def test_blocked_behaviour_wakes_on_message(self, rig):
         loop, net, platform, c1, c2 = rig
         agent = c1.create_agent(EchoAgent, "echo")
@@ -337,49 +207,3 @@ class TestBehaviours:
                               receivers=["echo@h1"]).with_reply_id())
         loop.run()
         assert other.queue_size == 1  # echo woke up and replied
-
-    def test_block_with_timeout(self, rig):
-        loop, net, platform, c1, c2 = rig
-        agent = c1.create_agent(Agent, "a1")
-        polls = []
-
-        class Poll(CyclicBehaviour):
-            def action(self):
-                polls.append(loop.now)
-                self.block(25.0)
-
-        agent.add_behaviour(Poll())
-        loop.run(until=100.0)
-        assert len(polls) == 5  # t=0,25,50,75,100
-
-
-class TestDirectory:
-    def test_register_search(self):
-        df = DirectoryFacilitator()
-        df.register(ServiceDescription("player", "application", "ma1@h1",
-                                       {"kind": "music"}))
-        df.register(ServiceDescription("printer", "resource", "ra@h1"))
-        assert len(df.search(service_type="application")) == 1
-        assert df.search(properties={"kind": "music"})[0].name == "player"
-        assert df.search(name="nothing") == []
-
-    def test_duplicate_registration_rejected(self):
-        df = DirectoryFacilitator()
-        df.register(ServiceDescription("s", "t", "a@h"))
-        with pytest.raises(ValueError):
-            df.register(ServiceDescription("s", "t", "a@h"))
-
-    def test_deregister(self):
-        df = DirectoryFacilitator()
-        df.register(ServiceDescription("s", "t", "a@h"))
-        assert df.deregister("s", "a@h")
-        assert not df.deregister("s", "a@h")
-        assert len(df) == 0
-
-    def test_deregister_owner(self):
-        df = DirectoryFacilitator()
-        df.register(ServiceDescription("s1", "t", "a@h"))
-        df.register(ServiceDescription("s2", "t", "a@h"))
-        df.register(ServiceDescription("s3", "t", "b@h"))
-        assert df.deregister_owner("a@h") == 2
-        assert len(df) == 1

@@ -124,16 +124,6 @@ def test_unregistered_agent_type_cannot_move():
     assert "not registered" in result.failure_reason
 
 
-def test_suspended_agent_can_move():
-    loop, net, platform, c1, c2 = make_rig()
-    agent = c1.create_agent(Courier, "ma")
-    agent.do_suspend()
-    result = agent.do_move("h2")
-    loop.run()
-    assert result.completed
-    assert c2.agent("ma").state is AgentState.ACTIVE
-
-
 def test_queued_messages_carried_across_move():
     loop, net, platform, c1, c2 = make_rig()
     agent = c1.create_agent(Courier, "ma")

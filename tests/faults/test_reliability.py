@@ -1,9 +1,8 @@
-"""Reliability layer: backoff, chunked resume, deadlines, dedup, leases."""
+"""Reliability layer: backoff, chunked resume, deadlines, dedup."""
 
 import pytest
 
 from repro.agents.agent import Agent
-from repro.agents.directory import ServiceDescription
 from repro.agents.mobility import CostModel
 from repro.agents.platform import AgentPlatform
 from repro.agents.serialization import register_agent_type
@@ -207,40 +206,3 @@ def test_chunked_move_acks_every_chunk():
     assert result.chunks_total > 1
     assert result.chunks_acked == result.chunks_total
     assert not platform.mobility._rx_chunks  # bookkeeping drained
-
-
-# -- DF lease renewal ---------------------------------------------------------
-
-def test_crashed_hosts_services_expire():
-    loop, net, platform, c1, c2 = make_rig()
-    c1.create_agent(Wanderer, "ma")
-    platform.df.register(
-        ServiceDescription("player", "application", "ma@h1"))
-    platform.enable_df_leases(500.0, horizon_ms=4_000.0)
-    loop.call_at(1_000.0, lambda: setattr(net.host("h1"), "online", False))
-    loop.run()
-    assert platform.df.search(service_type="application") == []
-    assert platform.df.leases_expired >= 1
-
-
-def test_live_hosts_services_are_renewed():
-    loop, net, platform, c1, c2 = make_rig()
-    c1.create_agent(Wanderer, "ma")
-    platform.df.register(
-        ServiceDescription("player", "application", "ma@h1"))
-    platform.enable_df_leases(500.0, horizon_ms=4_000.0)
-    loop.run()
-    found = platform.df.search(service_type="application")
-    assert [s.name for s in found] == ["player"]
-    assert platform.df.leases_expired == 0
-
-
-def test_fault_config_wires_leases_on_arm():
-    from tests.faults.test_engine import make_deployment, plan_of
-    d = make_deployment(faults=FaultConfig(
-        plan=plan_of(FaultSpec(10.0, "host_crash", "host2",
-                               duration_ms=None)),
-        arm="manual", df_lease_ms=750.0, lease_horizon_ms=2_000.0))
-    assert d.platform.df.default_lease_ms == 0.0
-    d.chaos.arm()
-    assert d.platform.df.default_lease_ms == 750.0

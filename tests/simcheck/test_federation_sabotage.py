@@ -1,6 +1,6 @@
 """Simcheck coverage of the federated-registry scenario dimension.
 
-The three federation sabotage tags themselves (``stale-cache``,
+The four federation sabotage tags themselves (``stale-cache``,
 ``dropped-invalidation``, ``lost-reply``, ``zombie-lease``) are proven
 to trip their matching checkers by the parametrized sweep in
 ``test_invariants.py``; these tests pin the plumbing around them: the
