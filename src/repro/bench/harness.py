@@ -31,6 +31,11 @@ from repro.core.middleware import MiddlewareConfig
 from repro.net.clock import round_trip_cost
 from repro.net.topology import LinkSpec
 
+#: CPU factor of the source PC (P4 1.7 GHz, 256 MB).
+SOURCE_CPU_FACTOR = 1.0
+#: CPU factor of the destination PC (PM 1.6 GHz, 512 MB; slightly slower).
+DEST_CPU_FACTOR = 1.06
+
 
 @dataclass
 class TestbedConfig:
@@ -43,10 +48,6 @@ class TestbedConfig:
     #: Per-message uniform latency jitter; nonzero makes repeated runs
     #: vary (use with ``sweep(..., repeats=N)`` for error bars).
     jitter_ms: float = 0.0
-    #: P4 1.7 GHz, 256 MB (source).
-    source_cpu_factor: float = 1.0
-    #: PM 1.6 GHz, 512 MB (destination; slightly slower clock).
-    dest_cpu_factor: float = 1.06
     #: Destination clocks are NOT synchronized with the source.
     dest_skew_ms: float = -2_000.0
     #: What the destination already has installed (paper: UI only).
@@ -78,13 +79,13 @@ def build_paper_testbed(config: Optional[TestbedConfig] = None,
     d.add_space("lab-a", lan=lan)
     source = d.add_host(
         "host1", "lab-a",
-        profile=DeviceProfile("host1", cpu_factor=config.source_cpu_factor))
+        profile=DeviceProfile("host1", cpu_factor=SOURCE_CPU_FACTOR))
     if config.gateway:
         d.add_space("lab-b", lan=lan)
         destination = d.add_host(
             "host2", "lab-b",
             profile=DeviceProfile("host2",
-                                  cpu_factor=config.dest_cpu_factor),
+                                  cpu_factor=DEST_CPU_FACTOR),
             skew_ms=config.dest_skew_ms)
         d.add_gateway("gw-a", "lab-a", config.gateway_delay_ms)
         d.add_gateway("gw-b", "lab-b", config.gateway_delay_ms)
@@ -93,7 +94,7 @@ def build_paper_testbed(config: Optional[TestbedConfig] = None,
         destination = d.add_host(
             "host2", "lab-a",
             profile=DeviceProfile("host2",
-                                  cpu_factor=config.dest_cpu_factor),
+                                  cpu_factor=DEST_CPU_FACTOR),
             skew_ms=config.dest_skew_ms)
     _preinstall_partial(destination, config, app_name)
     return d, source, destination
@@ -160,7 +161,7 @@ class MigrationExperiment:
         config = TestbedConfig(**{**self.config.__dict__,
                                   "seed": self.config.seed + seed_offset})
         obs = self.observability
-        if obs is not None and obs.enabled:
+        if obs is not None:
             obs.begin_run(f"{file_size_bytes / 1e6:g}MB/{policy.value}/"
                           f"{kind.value}#{seed_offset}")
         d, source, destination = build_paper_testbed(
@@ -379,7 +380,7 @@ def round_trip_experiment(size_mb: float = 5.0,
     round-trip sum, and the (simulation-only) ground truth.
     """
     config = TestbedConfig(dest_skew_ms=skew_ms)
-    if observability is not None and observability.enabled:
+    if observability is not None:
         observability.begin_run(f"round-trip/{size_mb:g}MB/skew{skew_ms:g}")
     d, source, destination = build_paper_testbed(
         config, observability=observability)
@@ -423,7 +424,7 @@ def clone_dispatch_experiment(room_count: int = 3, slide_count: int = 40,
     the presentation app + projector, only slides travel); ``True`` ships
     logic + UI + slides, the naive alternative.
     """
-    if observability is not None and observability.enabled:
+    if observability is not None:
         observability.begin_run(
             f"clone-dispatch/{room_count}rooms/"
             f"{'full' if carry_full_app else 'partial'}")

@@ -71,6 +71,8 @@ SYNC_PROTOCOL = "md.sync"
 DATA_PROTOCOL = "md.data"
 #: Wire size of one coordinator sync update.
 SYNC_MESSAGE_SIZE = 96
+#: RTT assumed for a peer no probe has measured yet.
+PROBE_DEFAULT_RTT_MS = 10.0
 # Remote-data streaming moves multi-MB payloads: classify it as bulk so it
 # fair-shares links with agent transfers instead of head-of-line blocking
 # sync/ACL control traffic (md.sync stays control).
@@ -86,8 +88,6 @@ class MiddlewareConfig:
     #: Adaptive binding: data up to this size is carried, larger stays
     #: remote when absent at the destination.
     data_carry_threshold_bytes: int = 512_000
-    #: RTT assumed when no probe measurement exists yet.
-    probe_default_rtt_ms: float = 10.0
     #: How autonomous agents pick among several compatible destination
     #: hosts: "first-fit" (deterministic order) or "contract-net" (CFP to
     #: every candidate's MA manager, award to the least-loaded bidder).
@@ -618,9 +618,8 @@ class MDAgentMiddleware:
                 timestamp=self.loop.now, source="middleware"))
 
     def measured_response_time(self, peer: str) -> float:
-        """Latest probed RTT to ``peer``, or the configured default."""
-        return self._response_times.get(peer,
-                                        self.config.probe_default_rtt_ms)
+        """Latest probed RTT to ``peer``, or the unprobed default."""
+        return self._response_times.get(peer, PROBE_DEFAULT_RTT_MS)
 
     def publish_app_event(self, app: Application, what: str) -> None:
         self.deployment.bus.publish(ContextEvent(
@@ -865,7 +864,7 @@ class Deployment:
         # Fault injection (optional): the chaos engine arms per its config
         # ("first-migration" by default) and replays its plan on the loop.
         self.chaos = None
-        if faults is not None and faults.enabled:
+        if faults is not None:
             from repro.faults.engine import ChaosEngine
             self.chaos = ChaosEngine(self, faults)
 

@@ -48,7 +48,6 @@ class FaultConfig:
     #: want), "first-run" (relative to the first ``run``/``run_all``), or
     #: "manual" (call ``deployment.chaos.arm()`` yourself).
     arm: str = "first-migration"
-    enabled: bool = True
     # -- reliability hardening applied to the deployment ------------------
     #: Chunked, checkpoint-resumable agent transfers (0 sends each
     #: transfer as one frame).
@@ -130,7 +129,7 @@ class ChaosEngine:
 
     def arm(self) -> None:
         """Schedule every fault at ``loop.now + spec.at_ms`` (idempotent)."""
-        if self.armed or not self.config.enabled:
+        if self.armed:
             return
         self.armed = True
         loop = self.deployment.loop

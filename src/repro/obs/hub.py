@@ -14,9 +14,8 @@ through a scenario::
 Attachment sets ``loop.observability`` so every instrumented layer (kernel,
 network, agent platform, middleware) can reach the hub with one attribute
 read -- and, crucially, skip *all* instrumentation with a single ``is
-None`` check when no hub is attached.  A hub constructed with
-``enabled=False`` never attaches, so the disabled path records zero events
-and perturbs nothing.
+None`` check when no hub is attached.  To run without observability, pass
+no hub: that path records zero events and perturbs nothing.
 
 One hub may observe several deployments in sequence (a parameter sweep);
 call :meth:`begin_run` between them to partition the records.
@@ -75,13 +74,12 @@ class Observability:
     """Bundles a :class:`Tracer`, a :class:`MetricsRegistry` and the
     behaviour :class:`Ledger`."""
 
-    def __init__(self, enabled: bool = True, trace: bool = True):
-        self.enabled = enabled
+    def __init__(self, trace: bool = True):
         #: ``trace=False`` keeps the hub (metrics + hooks) live but records
         #: no spans/events -- the lightweight mode digest pinning and SLO
         #: aggregation use on runs with hundreds of thousands of kernel
         #: events, where span objects would dominate memory and wall time.
-        self.tracer = Tracer(enabled=enabled and trace)
+        self.tracer = Tracer(enabled=trace)
         self.metrics = MetricsRegistry()
         self.ledger = Ledger()
         #: Synchronous listeners for structured runtime events (see
@@ -105,29 +103,24 @@ class Observability:
         (The positional-only channel name keeps ``kind=...`` available as
         a payload key.)
 
-        With no hooks registered (or the hub disabled) this returns
-        immediately; the keyword-payload dict is still built by Python at
-        the call site, which is why hot-path emitters must guard with
+        With no hooks registered this returns immediately; the
+        keyword-payload dict is still built by Python at the call site,
+        which is why hot-path emitters must guard with
         ``if obs.hooks:`` *before* assembling the payload -- the
         short-circuit here only protects emitters that did not.
         """
-        if not self.hooks or not self.enabled:
+        if not self.hooks:
             return
         for hook in self.hooks:
             hook(__event, payload)
 
     def attach(self, loop: Any, run_label: Optional[str] = None
                ) -> "Observability":
-        """Point the tracer at ``loop``'s clock and install the hub on it.
-
-        A disabled hub leaves ``loop.observability`` untouched (``None``),
-        which is what makes disabled observability truly zero-cost.
-        """
-        if self.enabled:
-            self.tracer.use_clock(lambda: loop.now)
-            loop.observability = self
-            if run_label is not None:
-                self.begin_run(run_label)
+        """Point the tracer at ``loop``'s clock and install the hub on it."""
+        self.tracer.use_clock(lambda: loop.now)
+        loop.observability = self
+        if run_label is not None:
+            self.begin_run(run_label)
         return self
 
     def begin_run(self, label: str = "") -> int:
@@ -152,7 +145,6 @@ class Observability:
         export_jsonl(self, path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "enabled" if self.enabled else "disabled"
-        return (f"<Observability {state} spans={len(self.tracer.spans)} "
+        return (f"<Observability spans={len(self.tracer.spans)} "
                 f"events={len(self.tracer.events)} "
                 f"series={len(self.metrics)}>")

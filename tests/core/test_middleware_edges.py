@@ -7,6 +7,7 @@ from repro.context.model import TOPIC_RAW_NETWORK
 from repro.core import Deployment, DeviceProfile
 from repro.core.application import Application, AppStatus
 from repro.core.errors import AdaptationError, MiddlewareError
+from repro.core.middleware import PROBE_DEFAULT_RTT_MS
 
 
 def simple_deployment():
@@ -105,8 +106,7 @@ class TestDeploymentBuilder:
 class TestResponseTimeCache:
     def test_default_without_probes(self):
         d, pc1, pc2 = simple_deployment()
-        assert pc1.measured_response_time("pc2") == \
-            pc1.config.probe_default_rtt_ms
+        assert pc1.measured_response_time("pc2") == PROBE_DEFAULT_RTT_MS
 
     def test_probe_updates_cache_and_publishes_context(self):
         from repro.context.sensors import NetworkSensor
@@ -120,8 +120,7 @@ class TestResponseTimeCache:
         sensor.stop()
         d.run_all()
         assert pc1.measured_response_time("pc2") > 0
-        assert pc1.measured_response_time("pc2") != \
-            pc1.config.probe_default_rtt_ms
+        assert pc1.measured_response_time("pc2") != PROBE_DEFAULT_RTT_MS
         assert fused and fused[0].subject == "pc1->pc2"
 
 

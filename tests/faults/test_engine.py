@@ -179,19 +179,13 @@ def test_obs_events_and_counters_per_fault():
     assert obs.metrics.counter("faults.fired", kind="link_down").value == 1
 
 
-def test_arm_is_idempotent_and_respects_enabled():
+def test_arm_is_idempotent():
     plan = plan_of(FaultSpec(10.0, "host_crash", "host2", duration_ms=None))
     d = make_deployment(faults=manual(plan))
     d.chaos.arm()
     d.chaos.arm()  # second arm must not double-schedule
     d.run_all()
     assert d.chaos.faults_fired == 1
-
-    disabled = make_deployment(
-        faults=FaultConfig(plan=plan_of(
-            FaultSpec(10.0, "host_crash", "host2", duration_ms=None)),
-            arm="manual", enabled=False))
-    assert disabled.chaos is None
 
 
 def test_arm_on_first_run():

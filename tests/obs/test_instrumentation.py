@@ -81,18 +81,12 @@ def test_network_and_kernel_metrics_recorded():
     assert all(s.finished and s.duration_ms >= 0 for s in transfers)
 
 
-def test_disabled_hub_records_nothing_and_changes_nothing():
-    enabled = Observability()
-    disabled = Observability(enabled=False)
-    _, outcome_on = _migrate_once(enabled)
-    _, outcome_off = _migrate_once(disabled)
+def test_attached_hub_changes_nothing():
+    _, outcome_on = _migrate_once(Observability())
     _, outcome_bare = _migrate_once(None)
-    assert len(disabled.tracer) == 0
-    assert len(disabled.metrics) == 0
     # Observation must not perturb the simulation: identical timings.
-    assert outcome_on.phases() == outcome_off.phases() == outcome_bare.phases()
-    assert (outcome_on.bytes_transferred == outcome_off.bytes_transferred
-            == outcome_bare.bytes_transferred)
+    assert outcome_on.phases() == outcome_bare.phases()
+    assert outcome_on.bytes_transferred == outcome_bare.bytes_transferred
 
 
 def test_sweep_partitions_runs():

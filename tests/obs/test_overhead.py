@@ -49,13 +49,6 @@ class TestEmitShortCircuit:
         obs.emit("anything", payload=1)  # must not raise, records nothing
         assert obs.hooks == []
 
-    def test_disabled_hub_never_calls_hooks(self):
-        calls = []
-        obs = Observability(enabled=False)
-        obs.add_hook(lambda kind, payload: calls.append(kind))
-        obs.emit("kernel.event", now=1.0)
-        assert calls == []
-
     def test_enabled_hub_with_hook_still_delivers(self):
         calls = []
         obs = Observability(trace=False)

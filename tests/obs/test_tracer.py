@@ -119,17 +119,6 @@ def test_disabled_tracer_records_nothing():
     assert t.spans == [] and t.events == []
 
 
-def test_disabled_hub_never_attaches():
-    loop = EventLoop()
-    obs = Observability(enabled=False)
-    obs.attach(loop)
-    assert loop.observability is None
-    loop.call_later(1.0, lambda: None)
-    loop.run_until_idle()
-    assert len(obs.tracer) == 0
-    assert len(obs.metrics) == 0
-
-
 def test_span_context_manager_annotates_errors():
     t = Tracer(clock=lambda: 0.0)
     with pytest.raises(ValueError):
