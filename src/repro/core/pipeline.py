@@ -63,6 +63,10 @@ from repro.core.mobile_agent import MDMobileAgent
 #: ACL protocol of the FIPA capability-negotiation exchange.
 CAPABILITY_PROTOCOL = "md-capability"
 
+#: What an outcome holds in place of its pipeline context once that
+#: context has finished (distinct from an outcome that never had one).
+_FINISHED = object()
+
 
 # Cost constants of the application-level migration phases, calibrated
 # so the paper's testbed regime (10 Mbps link, single-PC-class hosts)
@@ -348,7 +352,7 @@ class MigrationContext:
         self.keys |= phase.contract.provides
         self._index += 1
         if self._index >= len(self.pipeline.phases):
-            self.finished = True
+            self._close()
             return
         if phase.name in self.failpoints:
             self.fail(f"injected failure after phase {phase.name!r}")
@@ -359,7 +363,20 @@ class MigrationContext:
     def finish_early(self) -> None:
         """End the pipeline cleanly before the last phase (e.g. a prestage
         plan with nothing to ship)."""
+        self._close()
+
+    def _close(self) -> None:
+        """Finish the context.  From here on the outcome is the
+        migration's record, so it lets go of the context and with it the
+        stopped source app, the mobile agent, the snapshot and the plan.
+
+        Keyed on the context finishing, not on the outcome turning
+        terminal: the middleware can fail an outcome whose context still
+        runs."""
         self.finished = True
+        outcome = self.outcome
+        if getattr(outcome, "_pipeline_ctx", None) is self:
+            outcome._pipeline_ctx = _FINISHED  # type: ignore[attr-defined]
 
     def arrive(self, destination_middleware, ma: MDMobileAgent) -> None:
         """The mobile agent checked in: complete the hand-off phase and
@@ -383,7 +400,7 @@ class MigrationContext:
             return
         outcome = self.outcome
         if outcome is not None and (outcome.completed or outcome.failed):
-            self.finished = True
+            self._close()
             return
         self.finished = True
         if outcome is not None:
@@ -403,6 +420,7 @@ class MigrationContext:
             before_finish()
         if outcome is not None:
             outcome._finish()
+        self._close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MigrationContext {self.pipeline.name} "
@@ -519,12 +537,13 @@ def receive(middleware, ma: MDMobileAgent,
     """Continue an arriving agent's pipeline past the hand-off phase.
 
     When the source-side context travelled with the outcome (the normal
-    in-deployment case) the arrival completes its transfer phase;
-    otherwise a destination-only context is synthesised so agents from
-    foreign deployments still power up."""
-    ctx = None
-    if outcome is not None:
-        ctx = getattr(outcome, "_pipeline_ctx", None)
+    in-deployment case) the arrival completes its transfer phase; an
+    agent arriving after that context finished changes nothing.  Only an
+    outcome that never had a context gets a destination-only one, so
+    agents from foreign deployments still power up."""
+    ctx = getattr(outcome, "_pipeline_ctx", None)
+    if ctx is _FINISHED:
+        return
     if ctx is None:
         plan = plan_from_dict(ma.plan)
         pipeline = (middleware.prestage_pipeline if plan.prestage

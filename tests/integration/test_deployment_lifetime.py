@@ -1,9 +1,12 @@
-"""A finished deployment is garbage.
+"""A finished deployment is garbage, and so is a finished migration.
 
 The registry's client and center lookup tables live on the ``Network``
 they describe, so nothing at module or class scope keeps a dropped
 ``Deployment`` (or its network) alive.  Each test builds inside a helper
 so the only references left behind are the weak ones it returns.
+
+Inside a live deployment, a migration's pipeline context lives only
+until the migration finishes; its outcome stays as the record.
 """
 
 import gc
@@ -13,6 +16,9 @@ import pytest
 
 from repro.apps.music_player import MusicPlayerApp
 from repro.core import Deployment, MiddlewareConfig
+from repro.core.application import AppStatus
+from repro.core.mobile_agent import MDMobileAgent
+from repro.core.pipeline import MigrationPipeline, plan_to_dict
 from repro.registry.federation import FederatedRegistryClient
 from repro.registry.registry import CachingRegistryClient, RegistryClient
 from repro.simcheck.scenario import build_deployment, generate_scenario
@@ -58,3 +64,108 @@ def test_scenario_loop_leaves_no_live_network():
     del deployment
     gc.collect()
     assert [ref() for ref in networks] == [None] * 20
+
+
+# -- a finished migration leaves only its outcome -----------------------------
+
+
+@pytest.fixture
+def started_contexts(monkeypatch):
+    """Weak references to every pipeline context started in the test."""
+    refs = []
+    start = MigrationPipeline.start
+
+    def recording_start(pipeline, ctx):
+        refs.append(weakref.ref(ctx))
+        return start(pipeline, ctx)
+
+    monkeypatch.setattr(MigrationPipeline, "start", recording_start)
+    return refs
+
+
+def _room(*apps):
+    """Two hosts in one room; ``apps`` are ``(name, host)`` to launch."""
+    d = Deployment(seed=5)
+    d.add_space("room")
+    hosts = {name: d.add_host(name, "room") for name in ("pc1", "pc2")}
+    for app_name, host in apps:
+        hosts[host].launch_application(
+            MusicPlayerApp.build(app_name, "alice", track_bytes=400_000))
+    d.run_all()
+    return d, hosts
+
+
+def _token(d, outcome):
+    return next(t for t, o in d.outcomes.items() if o is outcome)
+
+
+def _running_on(d, app_name):
+    return [host for host, app in d.application_instances(app_name)
+            if app.status is AppStatus.RUNNING]
+
+
+class TestFinishedMigrationKeepsOnlyItsOutcome:
+    def test_completed_migration_frees_its_context(self, started_contexts):
+        d, hosts = _room(("player", "pc1"))
+        outcome = hosts["pc1"].migrate("player", "pc2")
+        d.run_all()
+        gc.collect()
+        assert outcome.completed
+        assert [ref() for ref in started_contexts] == [None]
+        record = d.outcomes[_token(d, outcome)]
+        assert record is outcome
+        assert (record.plan.source, record.plan.destination) == ("pc1", "pc2")
+        assert record.bytes_transferred > 0
+        assert record.total_ms > 0 and record.events
+
+    def test_rolled_back_migration_frees_its_context(self,
+                                                      started_contexts):
+        d, hosts = _room(("player", "pc1"))
+        hosts["pc1"].pipeline_failpoints = frozenset({"checkin"})
+        outcome = hosts["pc1"].migrate("player", "pc2")
+        d.run_all()
+        gc.collect()
+        assert outcome.failed and "checkin" in outcome.failure_reason
+        assert _running_on(d, "player") == ["pc1"]
+        assert [ref() for ref in started_contexts] == [None]
+        record = d.outcomes[_token(d, outcome)]
+        assert record is outcome
+        assert any("rolled back" in event for event in record.events)
+
+    def test_noop_prestage_frees_its_context(self, started_contexts):
+        d, hosts = _room(("player", "pc1"))
+        hosts["pc1"].prestage("player", "pc2")
+        d.run_all()
+        second = hosts["pc1"].prestage("player", "pc2")
+        d.run_all()
+        gc.collect()
+        assert second.completed
+        assert any("nothing to prestage" in e for e in second.events)
+        assert len(started_contexts) == 2
+        assert [ref() for ref in started_contexts] == [None, None]
+        assert d.outcomes[_token(d, second)].plan.prestage
+
+    def test_late_agent_for_a_finished_migration_changes_nothing(
+            self, monkeypatch):
+        d, hosts = _room(("player", "pc1"))
+        outcome = hosts["pc1"].migrate("player", "pc2")
+        d.run_all()
+        assert outcome.completed
+        events = list(outcome.events)
+        phases_run = []
+        run_phase = MigrationPipeline._run_phase
+
+        def counting_run_phase(pipeline, ctx, phase):
+            phases_run.append(phase.name)
+            return run_phase(pipeline, ctx, phase)
+
+        monkeypatch.setattr(MigrationPipeline, "_run_phase",
+                            counting_run_phase)
+        late = hosts["pc2"].container.create_agent(MDMobileAgent, "ma-late")
+        late.load_cargo({}, {}, plan_to_dict(outcome.plan))
+        hosts["pc2"]._on_mobile_agent_arrival(late)
+        d.run_all()
+        assert phases_run == []
+        assert _running_on(d, "player") == ["pc2"]
+        assert outcome.completed and not outcome.failed
+        assert outcome.events == events
