@@ -250,13 +250,22 @@ class _BulkFlow:
 
     def __init__(self, key):
         self.key = key
-        self.jobs: Deque[_BulkJob] = deque()
+        #: The fluid queue, held only while the flow queues under
+        #: contention: a link keeps every flow it ever carried, and most
+        #: of them sit idle.
+        self.jobs: Optional[Deque[_BulkJob]] = None
         #: When the flow's last enqueued byte finishes serializing --
         #: the flow-local analogue of the control lane's ``busy_until``
         #: (authoritative only while the link is uncontended).
         self.cursor = 0.0
         #: FIFO clamp: within a flow, jitter can never reorder deliveries.
         self.last_arrival = 0.0
+
+    def push(self, job: _BulkJob) -> None:
+        """Append ``job`` to the fluid queue, opening it if needed."""
+        if self.jobs is None:
+            self.jobs = deque()
+        self.jobs.append(job)
 
 
 class _BulkBatch:
@@ -322,7 +331,12 @@ class Link:
         #: transmission time (lost phantoms included -- they burn wire).
         self.class_busy_ms: Dict[str, float] = {CONTROL: 0.0, BULK: 0.0}
         # -- bulk fair-share engine state ---------------------------------
+        #: Every flow the link has carried, in first-seen order: the order
+        #: in which same-instant completions are delivered.
         self._flows: Dict[Tuple[str, str], _BulkFlow] = {}
+        #: Flows whose cursor a booking set, pruned lazily to those still
+        #: serializing (see :meth:`_other_flow_busy`).
+        self._busy: Dict[Tuple[str, str], _BulkFlow] = {}
         #: True while >= 2 bulk flows contend (fluid mode); False on the
         #: uncontended fast path that mirrors the legacy arithmetic.
         self._contended = False
@@ -421,14 +435,13 @@ class Link:
                        None if lost else dispatch,
                        None if lost else on_arrival, receipt, on_dropped)
         if not self._contended:
-            if len(self._flows) == 1 or not any(
-                    f.cursor > now + self._EPS and f is not flow
-                    for f in self._flows.values()):
+            if not self._other_flow_busy(flow_key, now):
                 # Uncontended: exactly the legacy exclusive-reservation
                 # arithmetic, against this flow's own cursor.
                 start = max(now, flow.cursor)
                 finish = start + tx
                 flow.cursor = finish
+                self._busy[flow_key] = flow
                 if lost:
                     return None, True
                 arrival = finish + self.latency_ms + jitter
@@ -443,9 +456,24 @@ class Link:
             self._begin_contention(now)
         else:
             self._advance(now)
-        flow.jobs.append(job)
+        flow.push(job)
         self._retune(now)
         return None, lost
+
+    def _other_flow_busy(self, flow_key: Tuple[str, str],
+                         now: float) -> bool:
+        """True while a flow other than ``flow_key``'s is still
+        serializing: its cursor lies beyond ``now``.
+
+        Equal to scanning every flow's cursor, because whatever moves a
+        cursor forward registers its flow in ``_busy`` and ``now`` never
+        goes back: a flow pruned here stays idle until it is registered
+        again."""
+        busy = self._busy
+        horizon = now + self._EPS
+        for key in [k for k, f in busy.items() if f.cursor <= horizon]:
+            del busy[key]
+        return len(busy) > 1 or (len(busy) == 1 and flow_key not in busy)
 
     def bulk_window_eligible(self, flow_key: Tuple[str, str],
                              now: float) -> bool:
@@ -455,10 +483,7 @@ class Link:
         uncontended fast path."""
         if self._contended or self.jitter_ms > 0 or self.loss_rate > 0:
             return False
-        for f in self._flows.values():
-            if f.key != flow_key and f.cursor > now + self._EPS:
-                return False
-        return True
+        return not self._other_flow_busy(flow_key, now)
 
     def book_bulk_window(self, loop: EventLoop, now: float,
                          flow_key: Tuple[str, str], entries, complete
@@ -502,6 +527,7 @@ class Link:
             jobs.append(job)
         flow.cursor = cursor
         flow.last_arrival = last_arrival
+        self._busy[flow_key] = flow
         batch = _BulkBatch(flow, jobs, complete)
         batch.timer = loop.call_at(last_arrival, self._complete_batch, batch)
         self._batches.append(batch)
@@ -513,6 +539,7 @@ class Link:
         batch.complete(batch.jobs)
 
     def _prune_latency_flight(self) -> None:
+        # Pruned per enqueue, not amortized: delivered payloads die at once.
         self._latency_flight[:] = [j for j in self._latency_flight
                                    if j.timer is not None and j.timer.active]
 
@@ -534,7 +561,7 @@ class Link:
                 job.timer.cancel()
                 job.timer = None
                 job.remaining = (job.finish_tx - now) * full_rate
-                job.flow.jobs.append(job)
+                job.flow.push(job)
             else:
                 still_flying.append(job)
         self._latency_flight = still_flying
@@ -551,7 +578,7 @@ class Link:
             for job in batch.jobs:
                 if job.finish_tx > now + self._EPS:
                     job.remaining = (job.finish_tx - now) * full_rate
-                    job.flow.jobs.append(job)
+                    job.flow.push(job)
                 else:
                     when = job.arrival if job.arrival > now else now
                     job.timer = job.dispatch(when)
@@ -589,7 +616,10 @@ class Link:
 
     def _complete_head(self, flow: _BulkFlow, t: float) -> None:
         job = flow.jobs.popleft()
+        if not flow.jobs:
+            flow.jobs = None
         flow.cursor = t
+        self._busy[flow.key] = flow
         if job.lost:
             return  # phantom: wire time burned, drop already reported
         job.finish_tx = t
@@ -682,10 +712,10 @@ class Link:
                            if j.arrival > now + self._EPS)
         self._batches = []
         for flow in self._flows.values():
-            for job in flow.jobs:
+            for job in flow.jobs or ():
                 if not job.lost:
                     aborted.append(job)
-            flow.jobs.clear()
+            flow.jobs = None
             flow.cursor = 0.0
         for job in self._latency_flight:
             if job.timer is not None and job.timer.active:
@@ -702,8 +732,8 @@ class Link:
         if not self._contended:
             return max(0.0, flow.cursor - now) if flow is not None else 0.0
         active = sum(1 for f in self._flows.values() if f.jobs)
-        backlog = sum(j.remaining for j in flow.jobs) if flow is not None \
-            else 0.0
+        backlog = sum(j.remaining for j in flow.jobs) \
+            if flow is not None and flow.jobs else 0.0
         if flow is None or not flow.jobs:
             active += 1  # this flow would join the sharing set
         rate = self.bandwidth_mbps * 125.0 / max(1, active)
@@ -711,7 +741,7 @@ class Link:
 
     def bulk_queue_depth(self) -> int:
         """Bulk messages queued or serializing (not yet fully on the wire)."""
-        return sum(len(f.jobs) for f in self._flows.values())
+        return sum(len(f.jobs) for f in self._flows.values() if f.jobs)
 
     @property
     def bulk_contended(self) -> bool:
@@ -1218,6 +1248,7 @@ class Network:
                                       path, hop_index + 1, on_delivered,
                                       on_dropped)
         entries = self._in_flight.setdefault(link, [])
+        # Pruned per hop, not amortized: delivered payloads die at once.
         entries[:] = [e for e in entries if e[0].active]
         entries.append((timer, receipt, on_dropped))
 

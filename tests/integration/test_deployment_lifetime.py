@@ -6,7 +6,8 @@ they describe, so nothing at module or class scope keeps a dropped
 so the only references left behind are the weak ones it returns.
 
 Inside a live deployment, a migration's pipeline context lives only
-until the migration finishes; its outcome stays as the record.
+until the migration finishes; its outcome stays as the record.  A link
+keeps every bulk flow it carried, but only a queueing flow holds a queue.
 """
 
 import gc
@@ -144,6 +145,19 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
         assert len(started_contexts) == 2
         assert [ref() for ref in started_contexts] == [None, None]
         assert d.outcomes[_token(d, second)].plan.prestage
+
+    def test_drained_flows_hold_no_queue(self):
+        # Opposite migrations share the room's links, so their bulk
+        # flows contend and open fluid queues on the way.
+        d, hosts = _room(("player", "pc1"), ("radio", "pc2"))
+        outcomes = [hosts["pc1"].migrate("player", "pc2"),
+                    hosts["pc2"].migrate("radio", "pc1")]
+        d.run_all()
+        assert all(o.completed for o in outcomes)
+        flows = [flow for link in d.network.links
+                 for flow in link._flows.values()]
+        assert flows
+        assert [flow for flow in flows if flow.jobs is not None] == []
 
     def test_late_agent_for_a_finished_migration_changes_nothing(
             self, monkeypatch):
