@@ -92,6 +92,25 @@ class DecisionEngine:
         return decision
 
 
+class ContextPump(CyclicBehaviour):
+    """The autonomous agent's inbox: context events in INFORM messages."""
+
+    def action(self):
+        agent = self.agent
+        message = agent.receive(performative=Performative.INFORM)
+        if message is None:
+            self.block()
+            return
+        content = message.content
+        if not isinstance(content, dict):
+            return
+        topic = content.get("topic")
+        if topic == "context.location":
+            agent._on_location_change(content)
+        elif topic == "context.command":
+            agent._on_user_command(content)
+
+
 class MDAutonomousAgent(Agent):
     """The per-host autonomous agent.
 
@@ -114,23 +133,6 @@ class MDAutonomousAgent(Agent):
         self.engine = DecisionEngine(middleware.deployment.migration_rules)
 
     def setup(self) -> None:
-        agent = self
-
-        class ContextPump(CyclicBehaviour):
-            def action(self):
-                message = agent.receive(performative=Performative.INFORM)
-                if message is None:
-                    self.block()
-                    return
-                content = message.content
-                if not isinstance(content, dict):
-                    return
-                topic = content.get("topic")
-                if topic == "context.location":
-                    agent._on_location_change(content)
-                elif topic == "context.command":
-                    agent._on_user_command(content)
-
         self.add_behaviour(ContextPump(name="context-pump"))
 
     # -- decision flow ---------------------------------------------------------
@@ -272,6 +274,19 @@ class MDAutonomousAgent(Agent):
         self.send(request)
 
 
+class RequestPump(CyclicBehaviour):
+    """The mobile agent manager's inbox: migration REQUESTs."""
+
+    def action(self):
+        agent = self.agent
+        message = agent.receive(performative=Performative.REQUEST,
+                                protocol="md-migration")
+        if message is None:
+            self.block()
+            return
+        agent._handle(message)
+
+
 class MDMobileAgentManager(Agent):
     """The mobile agent manager: turns AA requests into executed plans.
 
@@ -308,17 +323,6 @@ class MDMobileAgentManager(Agent):
         return middleware.evaluate_migration_proposal(message.content)
 
     def setup(self) -> None:
-        agent = self
-
-        class RequestPump(CyclicBehaviour):
-            def action(self):
-                message = agent.receive(performative=Performative.REQUEST,
-                                        protocol="md-migration")
-                if message is None:
-                    self.block()
-                    return
-                agent._handle(message)
-
         self.add_behaviour(RequestPump(name="migration-requests"))
         # Contract-net contractor: bid to host incoming applications.
         from repro.agents.protocols import ContractNetResponder
