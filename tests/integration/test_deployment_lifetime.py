@@ -96,10 +96,6 @@ def _room(*apps):
     return d, hosts
 
 
-def _token(d, outcome):
-    return next(t for t, o in d.outcomes.items() if o is outcome)
-
-
 def _running_on(d, app_name):
     return [host for host, app in d.application_instances(app_name)
             if app.status is AppStatus.RUNNING]
@@ -113,7 +109,7 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
         gc.collect()
         assert outcome.completed
         assert [ref() for ref in started_contexts] == [None]
-        record = d.outcomes[_token(d, outcome)]
+        record = d.outcomes[outcome.plan.token]
         assert record is outcome
         assert (record.plan.source, record.plan.destination) == ("pc1", "pc2")
         assert record.bytes_transferred > 0
@@ -129,7 +125,7 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
         assert outcome.failed and "checkin" in outcome.failure_reason
         assert _running_on(d, "player") == ["pc1"]
         assert [ref() for ref in started_contexts] == [None]
-        record = d.outcomes[_token(d, outcome)]
+        record = d.outcomes[outcome.plan.token]
         assert record is outcome
         assert any("rolled back" in event for event in record.events)
 
@@ -144,7 +140,8 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
         assert any("nothing to prestage" in e for e in second.events)
         assert len(started_contexts) == 2
         assert [ref() for ref in started_contexts] == [None, None]
-        assert d.outcomes[_token(d, second)].plan.prestage
+        assert d.outcomes[second.plan.token] is second
+        assert second.plan.prestage
 
     def test_drained_flows_hold_no_queue(self):
         # Opposite migrations share the room's links, so their bulk
