@@ -368,7 +368,8 @@ class MigrationContext:
     def _close(self) -> None:
         """Finish the context.  From here on the outcome is the
         migration's record, so it lets go of the context and with it the
-        stopped source app, the mobile agent, the snapshot and the plan.
+        mobile agent and its cargo, the captured snapshot and the
+        unwrapped plan.
 
         Keyed on the context finishing, not on the outcome turning
         terminal: the middleware can fail an outcome whose context still
