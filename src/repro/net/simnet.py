@@ -465,10 +465,12 @@ class Link:
         """True while a flow other than ``flow_key``'s is still
         serializing: its cursor lies beyond ``now``.
 
-        Equal to scanning every flow's cursor, because whatever moves a
-        cursor forward registers its flow in ``_busy`` and ``now`` never
-        goes back: a flow pruned here stays idle until it is registered
-        again."""
+        Equal to scanning every flow's cursor.  Only an uncontended
+        enqueue or a window booking can set a cursor beyond ``now``, and
+        both register their flow in ``_busy``; a fluid completion sets
+        the cursor to the current instant and a hard cut to zero.  Since
+        ``now`` never goes back, a flow pruned here stays idle until it
+        is registered again."""
         busy = self._busy
         horizon = now + self._EPS
         for key in [k for k, f in busy.items() if f.cursor <= horizon]:
@@ -619,7 +621,6 @@ class Link:
         if not flow.jobs:
             flow.jobs = None
         flow.cursor = t
-        self._busy[flow.key] = flow
         if job.lost:
             return  # phantom: wire time burned, drop already reported
         job.finish_tx = t
