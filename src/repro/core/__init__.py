@@ -9,9 +9,8 @@ Public surface:
   -- the Fig. 1 mobility matrix and the adaptive/static binding policies.
 - :class:`MigrationOutcome` -- suspend/migrate/resume phase timings.
 - :class:`DecisionEngine` -- the rule-driven migration decision.
-- :class:`MiddlewarePhase` / :class:`MiddlewareContract` /
-  :func:`validate_middleware_stack` -- the explicit migration pipeline
-  and its deployment-time contract validator.
+- :class:`MiddlewarePhase` / :class:`MigrationPipeline` -- a migration
+  stack: a named, ordered list of phases one context walks through.
 """
 
 from repro.core.adaptor import AdaptationChange, AdaptationReport, Adaptor
@@ -61,18 +60,14 @@ from repro.core.middleware import (
 from repro.core.mobile_agent import MDMobileAgent
 from repro.core.pipeline import (
     CAPABILITY_PROTOCOL,
-    MIDDLEWARE_CONTRACTS,
     MIGRATION_PROTOCOLS,
-    MiddlewareContract,
     MiddlewarePhase,
     MigrationContext,
     MigrationPipeline,
     MigrationRequest,
-    ValidationResult,
     build_migration_pipeline,
     build_prestage_pipeline,
     migration_phases,
-    validate_middleware_stack,
 )
 from repro.core.profiles import (
     DeviceProfile,
@@ -85,7 +80,6 @@ from repro.core.snapshot import Snapshot, SnapshotManager
 
 __all__ = [
     "CAPABILITY_PROTOCOL",
-    "MIDDLEWARE_CONTRACTS",
     "MIGRATION_PROTOCOLS",
     "AdaptationChange",
     "AdaptationError",
@@ -110,7 +104,6 @@ __all__ = [
     "MDMobileAgent",
     "MDMobileAgentManager",
     "MiddlewareConfig",
-    "MiddlewareContract",
     "MiddlewareError",
     "MiddlewarePhase",
     "MigrationContext",
@@ -131,7 +124,6 @@ __all__ = [
     "SnapshotManager",
     "SyncRole",
     "UserProfile",
-    "ValidationResult",
     "application_type",
     "build_migration_pipeline",
     "build_prestage_pipeline",
@@ -142,5 +134,4 @@ __all__ = [
     "register_application_type",
     "register_component_type",
     "summarize",
-    "validate_middleware_stack",
 ]

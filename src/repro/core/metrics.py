@@ -48,6 +48,10 @@ class MigrationOutcome(Outcome):
     transfer_retries: int = 0
     transfer_resumed: bool = False
     dedup_hits: int = 0
+    #: The pipeline context running this migration, or None once it has
+    #: finished.  A plain class attribute, not a field, so it stays out
+    #: of the record's ``repr`` and equality.
+    _pipeline_ctx = None
 
     # -- phases (paper Fig. 8/9 series) ------------------------------------
 

@@ -134,7 +134,7 @@ class MDAgentMiddleware:
             accepted_platform_kinds if accepted_platform_kinds is not None
             else self.config.accepted_platform_kinds)
         self.serialization_version = self.config.serialization_version
-        # The validated middleware stacks this host runs migrations with.
+        # The middleware stacks this host runs migrations with.
         self.migration_pipeline = build_migration_pipeline(self.config)
         self.prestage_pipeline = build_prestage_pipeline(self.config)
         #: Test seam: phase names after which an injected failure fires.
@@ -287,7 +287,7 @@ class MDAgentMiddleware:
         """Plan and execute a migration through the middleware pipeline;
         returns the (async) outcome.
 
-        The pipeline runs the declared stack -- admission, planning,
+        The pipeline runs its phases in order -- admission, planning,
         capability negotiation, suspend, capture, transfer, check-in,
         rebind, power-up -- with planning's registry lookups happening
         before the measured suspension phase begins, which matches the

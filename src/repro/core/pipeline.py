@@ -1,31 +1,28 @@
-"""Explicit middleware pipeline: ordered phases with declared contracts.
+"""The migration stacks: named, ordered lists of phases one context walks.
 
-ROADMAP item 4 calls for restructuring the monolithic middleware as an
-explicit middleware stack so heterogeneous platforms can exchange agents.
-This module is that stack: admission, planning, capability negotiation,
-suspend, state capture, transfer, check-in, binding re-establishment and
-power-up are separate :class:`MiddlewarePhase` objects with declared
-``requires``/``provides`` contracts over a shared
-:class:`MigrationContext`, and :func:`validate_middleware_stack` rejects
-mis-ordered or incomplete stacks when the pipeline is *built* -- at
-deployment construction time, not when the first migration runs.
+MDAgent moves an application through one fixed sequence (paper Fig. 4,
+§4.3): suspend (coordinator + snapshot manager), wrap (mobile agent),
+migrate (agent platform check-out / transfer / check-in), then unwrap,
+rebind, adapt and resume at the destination, after which the mobile
+agent is deleted.  Each step is a :class:`MiddlewarePhase`; a
+:class:`MigrationPipeline` is a name plus the ordered phases, and one
+:class:`MigrationContext` walks them.  The source middleware runs every
+phase up to and including the transfer; the mobile agent's arrival
+completes the transfer and the destination middleware runs the rest.
+Outcome timestamps follow the paper's three measured segments:
+*suspension* (suspend + snapshot), *migration* (the mobile agent's
+journey) and *resumption* (restore + rebind + adapt + remote-data open).
+A phase that pays a sim-time cost (scaled by this module's cost
+constants and the host's CPU factor) schedules ``ctx.complete_phase`` on
+the loop for when the cost is paid.
 
-The default ("direct") stack is the paper's Fig. 4 interaction: suspend
-(coordinator + snapshot manager), wrap (mobile agent), migrate (agent
-platform check-out / transfer / check-in), then unwrap, rebind, adapt and
-resume at the destination.  Outcome timestamps follow the paper's three
-measured segments: *suspension* (suspend + snapshot), *migration* (the
-mobile agent's journey) and *resumption* (restore + rebind + adapt +
-remote-data open).  A phase that pays a sim-time cost (scaled by
-this module's cost constants and the host's CPU factor) schedules
-``ctx.complete_phase`` on the loop for when the cost is paid.
-
-The "fipa" stack inserts a pre-transfer ``propose/accept/reject``
-capability negotiation over ACL (platform kind, serialization version,
-resource classes), modelled on the FIPA interoperable-mobility proposal:
-an incompatible destination rejects the proposal *before* the source
-application is suspended, so a platform mismatch degrades to a clean
-failed :class:`MigrationOutcome` with the source app still running.
+The "fipa" stack replaces the free negotiation with a pre-transfer
+``propose/accept/reject`` capability negotiation over ACL (platform
+kind, serialization version, resource classes), modelled on the FIPA
+interoperable-mobility proposal: an incompatible destination rejects the
+proposal *before* the source application is suspended, so a platform
+mismatch degrades to a clean failed :class:`MigrationOutcome` with the
+source app still running.
 
 Failure handling is uniform: when any phase fails, the context rolls the
 migration back through every phase already passed (newest first), each
@@ -36,12 +33,11 @@ restore and restart the source instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -62,10 +58,6 @@ from repro.core.mobile_agent import MDMobileAgent
 
 #: ACL protocol of the FIPA capability-negotiation exchange.
 CAPABILITY_PROTOCOL = "md-capability"
-
-#: What an outcome holds in place of its pipeline context once that
-#: context has finished (distinct from an outcome that never had one).
-_FINISHED = object()
 
 
 # Cost constants of the application-level migration phases, calibrated
@@ -134,44 +126,20 @@ def plan_from_dict(data: Dict[str, Any]) -> MigrationPlan:
     )
 
 
-# -- contracts --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MiddlewareContract:
-    """What one phase consumes and produces on the migration context.
-
-    ``site`` declares which middleware runs the phase: ``"source"``
-    phases execute where the application currently lives, and
-    ``"destination"`` phases execute after the mobile agent's hand-off.
-    """
-
-    requires: FrozenSet[str] = frozenset()
-    provides: FrozenSet[str] = frozenset()
-    site: str = "source"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "requires", frozenset(self.requires))
-        object.__setattr__(self, "provides", frozenset(self.provides))
-        if self.site not in ("source", "destination"):
-            raise PipelineError(f"unknown contract site {self.site!r}")
+# -- phases and context -----------------------------------------------------
 
 
 class MiddlewarePhase:
-    """One named concern in a migration pipeline.
+    """One named step of a migration stack.
 
-    Subclasses set :attr:`name`, :attr:`contract` and implement
-    :meth:`run`.  A phase either calls ``ctx.complete_phase()`` before
-    returning (synchronous completion) or schedules work that calls it
-    later; exceptions raised from :meth:`run` fail the migration through
-    ``ctx.fail`` with :meth:`describe_error`'s rendering.
+    Subclasses set :attr:`name` and implement :meth:`run`.  A phase
+    either calls ``ctx.complete_phase()`` before returning (synchronous
+    completion) or schedules work that calls it later; exceptions raised
+    from :meth:`run` fail the migration through ``ctx.fail`` with
+    :meth:`describe_error`'s rendering.
     """
 
     name: str = "phase"
-    contract: MiddlewareContract = MiddlewareContract()
-    #: The hand-off phase: the last source-site phase, whose completion
-    #: is signalled by the mobile agent's arrival at the destination.
-    handoff: bool = False
 
     def run(self, ctx: "MigrationContext") -> None:
         raise NotImplementedError
@@ -188,90 +156,8 @@ class MiddlewarePhase:
 
 
 @dataclass
-class ValidationResult:
-    """Outcome of :func:`validate_middleware_stack`."""
-
-    ok: bool
-    errors: List[str] = field(default_factory=list)
-    provided: FrozenSet[str] = frozenset()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_middleware_stack(
-        phases: Sequence[MiddlewarePhase],
-        initial_keys: Iterable[str] = ("request",),
-        required_final: Iterable[str] = ("resumed",)) -> ValidationResult:
-    """Statically check a stack's ordering and completeness.
-
-    Rejects: empty stacks, duplicate phase names, a phase whose
-    ``requires`` is not covered by the initial keys plus every earlier
-    phase's ``provides`` (the mis-ordering case), re-provided keys, a
-    source-site phase after a destination-site one, anything but exactly
-    one hand-off phase (which must be the last source-site phase), and a
-    stack whose final key set misses ``required_final``.
-    """
-    errors: List[str] = []
-    available = set(initial_keys)
-    if not phases:
-        errors.append("middleware stack is empty")
-    seen_names: set = set()
-    seen_destination = False
-    handoffs = [p for p in phases if p.handoff]
-    for index, phase in enumerate(phases):
-        if phase.name in seen_names:
-            errors.append(f"duplicate phase name {phase.name!r}")
-        seen_names.add(phase.name)
-        contract = phase.contract
-        missing = sorted(contract.requires - available)
-        if missing:
-            errors.append(
-                f"phase {phase.name!r} (position {index}) requires "
-                f"{missing} but no earlier phase provides them "
-                f"(available: {sorted(available)})")
-        re_provided = sorted(contract.provides & available)
-        if re_provided:
-            errors.append(f"phase {phase.name!r} re-provides {re_provided}")
-        if contract.site == "destination":
-            seen_destination = True
-        elif seen_destination:
-            errors.append(
-                f"source-site phase {phase.name!r} appears after a "
-                f"destination-site phase")
-        if phase.handoff and contract.site != "source":
-            errors.append(f"hand-off phase {phase.name!r} must be "
-                          f"source-site")
-        available |= contract.provides
-    if len(handoffs) != 1:
-        errors.append(f"stack needs exactly one hand-off phase, found "
-                      f"{len(handoffs)}")
-    else:
-        handoff_index = phases.index(handoffs[0])
-        for later in phases[handoff_index + 1:]:
-            if later.contract.site != "destination":
-                errors.append(
-                    f"phase {later.name!r} after the hand-off must be "
-                    f"destination-site")
-        for earlier in phases[:handoff_index]:
-            if earlier.contract.site != "source":
-                errors.append(
-                    f"destination-site phase {earlier.name!r} appears "
-                    f"before the hand-off")
-    missing_final = sorted(set(required_final) - available)
-    if missing_final:
-        errors.append(f"stack never provides {missing_final} -- incomplete "
-                      f"pipeline")
-    return ValidationResult(ok=not errors, errors=errors,
-                            provided=frozenset(available))
-
-
-# -- context ----------------------------------------------------------------
-
-
-@dataclass
 class MigrationRequest:
-    """What the caller asked for (the pipeline's initial context key)."""
+    """What the caller asked for."""
 
     app_name: str
     destination: str
@@ -281,19 +167,13 @@ class MigrationRequest:
 
 
 class MigrationContext:
-    """Typed, shared state one migration carries through its pipeline.
-
-    The contract keys (``request``, ``app``, ``outcome``, ``plan``,
-    ``grant``, ``suspended``, ``snapshot``, ``agent``, ``arrival``,
-    ``bindings``, ``resumed``) name milestones; the concrete data lives
-    in the attributes below.
-    """
+    """Typed, shared state one migration carries through its pipeline."""
 
     def __init__(self, pipeline: "MigrationPipeline",
-                 middleware, request: Optional[MigrationRequest],
+                 middleware, request: MigrationRequest,
                  failpoints: Iterable[str] = ()):
         self.pipeline = pipeline
-        #: Source middleware (None for a destination-only arrival replay).
+        #: Source middleware.
         self.middleware = middleware
         self.request = request
         self.app: Optional[Application] = None
@@ -311,8 +191,6 @@ class MigrationContext:
         self.dest_app: Optional[Application] = None
         self.dest_installed = False
         self.snapshot_data: Optional[Dict[str, Any]] = None
-        #: Keys provided so far (contract milestones, for introspection).
-        self.keys: set = set(pipeline.initial_keys)
         #: Test seam: phase names after which a failure is injected.
         self.failpoints = frozenset(failpoints)
         self.finished = False
@@ -326,20 +204,12 @@ class MigrationContext:
     # -- plumbing ----------------------------------------------------------
 
     @property
-    def any_middleware(self):
-        return self.middleware if self.middleware is not None \
-            else self.destination_middleware
-
-    @property
     def loop(self):
-        return self.any_middleware.loop
+        return self.middleware.loop
 
     @property
     def observability(self):
         return self.loop.observability
-
-    def phase_names(self) -> List[str]:
-        return [p.name for p in self.pipeline.phases]
 
     # -- progression -------------------------------------------------------
 
@@ -349,7 +219,6 @@ class MigrationContext:
             return
         phase = self.pipeline.phases[self._index]
         self._completed.append(phase)
-        self.keys |= phase.contract.provides
         self._index += 1
         if self._index >= len(self.pipeline.phases):
             self._close()
@@ -375,13 +244,11 @@ class MigrationContext:
         terminal: the middleware can fail an outcome whose context still
         runs."""
         self.finished = True
-        outcome = self.outcome
-        if getattr(outcome, "_pipeline_ctx", None) is self:
-            outcome._pipeline_ctx = _FINISHED  # type: ignore[attr-defined]
+        self.outcome._pipeline_ctx = None
 
     def arrive(self, destination_middleware, ma: MDMobileAgent) -> None:
-        """The mobile agent checked in: complete the hand-off phase and
-        continue with the destination-site phases."""
+        """The mobile agent checked in: complete the transfer phase and
+        continue with the destination's phases."""
         self.destination_middleware = destination_middleware
         self.ma = ma
         self.ma_arrived = True
@@ -400,13 +267,12 @@ class MigrationContext:
         if self.finished:
             return
         outcome = self.outcome
-        if outcome is not None and (outcome.completed or outcome.failed):
+        if outcome.completed or outcome.failed:
             self._close()
             return
         self.finished = True
-        if outcome is not None:
-            outcome.failed = True
-            outcome.failure_reason = reason
+        outcome.failed = True
+        outcome.failure_reason = reason
         chain: List[MiddlewarePhase] = []
         if self._entered is not None and \
                 self._entered not in self._completed:
@@ -419,40 +285,27 @@ class MigrationContext:
                 pass
         if before_finish is not None:
             before_finish()
-        if outcome is not None:
-            outcome._finish()
+        outcome._finish()
         self._close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MigrationContext {self.pipeline.name} "
-                f"phase={self._index}/{len(self.pipeline.phases)} "
-                f"keys={sorted(self.keys)}>")
+                f"phase={self._index}/{len(self.pipeline.phases)}>")
 
 
 # -- driver -----------------------------------------------------------------
 
 
 class MigrationPipeline:
-    """An ordered, validated middleware stack plus its trampoline driver.
+    """A named, ordered list of phases plus its trampoline driver.
 
     With a hub attached, every phase entry records a ``pipeline.phase``
     span and counter.
     """
 
-    def __init__(self, name: str, phases: Sequence[MiddlewarePhase],
-                 initial_keys: Iterable[str] = ("request",),
-                 required_final: Iterable[str] = ("resumed",)):
-        result = validate_middleware_stack(phases, initial_keys,
-                                           required_final)
-        if not result.ok:
-            raise PipelineError(
-                f"invalid middleware stack {name!r}: "
-                + "; ".join(result.errors))
+    def __init__(self, name: str, phases: Sequence[MiddlewarePhase]):
         self.name = name
         self.phases: List[MiddlewarePhase] = list(phases)
-        self.initial_keys = tuple(initial_keys)
-        self._handoff_index = next(
-            i for i, p in enumerate(self.phases) if p.handoff)
 
     def phase(self, name: str) -> MiddlewarePhase:
         for phase in self.phases:
@@ -480,7 +333,7 @@ class MigrationPipeline:
                 self._run_phase(ctx, phase)
             except Exception as exc:
                 ctx._in_run = False
-                if ctx.outcome is None and ctx.middleware is not None:
+                if ctx.outcome is None:
                     # Admission-time errors (unknown app/destination...)
                     # surface synchronously to the caller, exactly like
                     # the classic monolithic migrate().
@@ -508,23 +361,6 @@ class MigrationPipeline:
         obs.metrics.counter("pipeline.phase", pipeline=self.name,
                             phase=phase.name).inc()
 
-    def arrival_context(self, destination_middleware,
-                        ma: MDMobileAgent,
-                        outcome: Optional[MigrationOutcome]
-                        ) -> MigrationContext:
-        """Destination-only context for an agent whose source-side context
-        is unavailable (unknown token, cross-deployment arrival): the
-        pipeline resumes at the hand-off phase as if the source phases had
-        run elsewhere."""
-        ctx = MigrationContext(self, None, None)
-        ctx.outcome = outcome
-        ctx.plan = plan_from_dict(ma.plan)
-        ctx._index = self._handoff_index
-        ctx._entered = self.phases[self._handoff_index]
-        for phase in self.phases[:self._handoff_index]:
-            ctx.keys |= phase.contract.provides
-        return ctx
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MigrationPipeline {self.name!r} "
                 f"{[p.name for p in self.phases]}>")
@@ -535,21 +371,18 @@ class MigrationPipeline:
 
 def receive(middleware, ma: MDMobileAgent,
             outcome: Optional[MigrationOutcome]) -> None:
-    """Continue an arriving agent's pipeline past the hand-off phase.
+    """Hand an arriving agent to its migration's running context, which
+    completes its transfer phase and runs the destination's phases.
 
-    When the source-side context travelled with the outcome (the normal
-    in-deployment case) the arrival completes its transfer phase; an
-    agent arriving after that context finished changes nothing.  Only an
-    outcome that never had a context gets a destination-only one, so
-    agents from foreign deployments still power up."""
-    ctx = getattr(outcome, "_pipeline_ctx", None)
-    if ctx is _FINISHED:
-        return
+    Every agent carries the token of the outcome its transfer phase
+    minted, and that outcome points at its context until the context
+    finishes.  An agent whose outcome has no running context (it arrived
+    after its migration finished, or its token names no outcome) is
+    deleted and changes nothing else."""
+    ctx = outcome._pipeline_ctx if outcome is not None else None
     if ctx is None:
-        plan = plan_from_dict(ma.plan)
-        pipeline = (middleware.prestage_pipeline if plan.prestage
-                    else middleware.migration_pipeline)
-        ctx = pipeline.arrival_context(middleware, ma, outcome)
+        ma.do_delete()
+        return
     ctx.arrive(middleware, ma)
 
 
@@ -561,7 +394,7 @@ def _mint_outcome(ctx: MigrationContext, app: Application,
     outcome = MigrationOutcome(provisional)
     token = deployment.new_outcome_token(provisional.app_name)
     deployment.outcomes[token] = outcome
-    outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
+    outcome._pipeline_ctx = ctx
     obs = ctx.observability
     if obs is not None:
         outcome.on_complete(lambda o: obs.ledger.outcome(token, o))
@@ -603,8 +436,6 @@ class AdmissionPhase(MiddlewarePhase):
     """Validate the request, arm chaos, mint the outcome and its token."""
 
     name = "admission"
-    contract = MiddlewareContract(requires=frozenset({"request"}),
-                                  provides=frozenset({"app", "outcome"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -629,8 +460,6 @@ class PlanningPhase(MiddlewarePhase):
     phase begins, matching the paper's measurement window."""
 
     name = "planning"
-    contract = MiddlewareContract(requires=frozenset({"app", "outcome"}),
-                                  provides=frozenset({"plan"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -678,8 +507,6 @@ class DirectNegotiationPhase(MiddlewarePhase):
     events, no messages."""
 
     name = "negotiation"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"grant"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -702,8 +529,6 @@ class FipaNegotiationPhase(MiddlewarePhase):
     """
 
     name = "negotiation"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"grant"}))
 
     def run(self, ctx: MigrationContext) -> None:
         from repro.agents.protocols import ProposeInitiator
@@ -754,8 +579,6 @@ class SuspendPhase(MiddlewarePhase):
     root span live here."""
 
     name = "suspend"
-    contract = MiddlewareContract(requires=frozenset({"plan", "grant"}),
-                                  provides=frozenset({"suspended"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -794,23 +617,19 @@ class SuspendPhase(MiddlewarePhase):
         if not ctx._suspended_here or ctx._transfer_started:
             return
         app = ctx.app
-        if app is None or app.status is not AppStatus.SUSPENDED:
+        if app.status is not AppStatus.SUSPENDED:
             return
         app.resume()
         middleware = ctx.middleware
-        if middleware is not None:
-            middleware.publish_app_event(app, "rolled-back")
-        if ctx.outcome is not None:
-            ctx.outcome.log(f"rolled back: resumed {app.name} at source "
-                            f"{middleware.host_name}")
+        middleware.publish_app_event(app, "rolled-back")
+        ctx.outcome.log(f"rolled back: resumed {app.name} at source "
+                        f"{middleware.host_name}")
 
 
 class CapturePhase(MiddlewarePhase):
     """Snapshot the application and pay the CPU-scaled suspension cost."""
 
     name = "capture"
-    contract = MiddlewareContract(requires=frozenset({"suspended"}),
-                                  provides=frozenset({"snapshot"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -834,13 +653,11 @@ class CapturePhase(MiddlewarePhase):
 class TransferPhase(MiddlewarePhase):
     """Wrap the app in a mobile agent and ship it: manifest assembly,
     sync-master hand-over, remote-data stubs, check-out.  The phase
-    completes when the agent checks in at the destination (the hand-off);
-    a transfer failure rolls the source back."""
+    completes when the agent checks in at the destination, whose
+    middleware runs the phases after it; a transfer failure rolls the
+    source back."""
 
     name = "transfer"
-    contract = MiddlewareContract(requires=frozenset({"snapshot"}),
-                                  provides=frozenset({"agent"}))
-    handoff = True
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -911,52 +728,50 @@ class TransferPhase(MiddlewarePhase):
             outcome.log(f"source instance of {app.name} stopped")
 
     def rollback(self, ctx: MigrationContext) -> None:
-        if ctx.ma is not None and ctx.ma_arrived:
+        if ctx.ma_arrived:
             # The agent made it across but the destination failed to power
             # the app up: clean the courier out of the destination container.
             ctx.ma.do_delete()
-        middleware = ctx.middleware
-        if middleware is None:
-            return
-        plan = ctx.plan
-        if plan is not None and plan.kind is MigrationKind.FOLLOW_ME:
-            _rollback(middleware, ctx.app, ctx.snapshot, ctx.outcome)
+        if ctx.plan.kind is MigrationKind.FOLLOW_ME:
+            _rollback(ctx.middleware, ctx.app, ctx.snapshot, ctx.outcome)
+
+
+def _unwrap(ctx: MigrationContext) -> None:
+    """Check the arrived agent in: stamp the end of the migrate phase,
+    then install the carried application here, or merge the carried
+    components into the copy already installed."""
+    middleware = ctx.destination_middleware
+    ma = ctx.ma
+    outcome = ctx.outcome
+    now = middleware.loop.now
+    outcome.migrate_done_at = now
+    outcome.log(f"mobile agent {ma.local_name} checked in at {now:.1f}")
+    app = middleware.applications.get(ctx.arrived_plan.app_name)
+    if app is None:
+        app = Application.from_manifest(ma.manifest)
+        middleware.install_application(app, register=True)
+        ctx.dest_installed = True
+    else:
+        merged = app.merge_components(ma.manifest)
+        if merged:
+            outcome.log(f"merged carried components: {merged}")
+    ctx.dest_app = app
 
 
 class CheckinPhase(MiddlewarePhase):
-    """Destination check-in: stamp the migrate phase, unwrap the cargo,
-    install or merge components, and pay the restore cost."""
+    """Destination check-in: close the migrate span, unwrap the cargo,
+    and pay the restore cost."""
 
     name = "checkin"
-    contract = MiddlewareContract(requires=frozenset({"agent"}),
-                                  provides=frozenset({"arrival"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
         loop = middleware.loop
-        ma = ctx.ma
-        outcome = ctx.outcome
         plan = ctx.arrived_plan
-        manifest = ma.manifest
-        snapshot_data = ma.snapshot
-        now = loop.now
-        if outcome is not None:
-            outcome.migrate_done_at = now
-            outcome.log(f"mobile agent {ma.local_name} checked in at "
-                        f"{now:.1f}")
-            # The migrate phase ends here, on the destination's clock.
-            outcome.next_span("resume", middleware.host, app=plan.app_name)
-        app = middleware.applications.get(plan.app_name)
-        if app is None:
-            app = Application.from_manifest(manifest)
-            middleware.install_application(app, register=True)
-            ctx.dest_installed = True
-        else:
-            merged = app.merge_components(manifest)
-            if outcome is not None and merged:
-                outcome.log(f"merged carried components: {merged}")
-        ctx.dest_app = app
+        # The migrate phase ends here, on the destination's clock.
+        ctx.outcome.next_span("resume", middleware.host, app=plan.app_name)
+        _unwrap(ctx)
+        snapshot_data = ctx.ma.snapshot
         ctx.snapshot_data = snapshot_data
         cpu = middleware.host.cpu_factor
         size_mb = snapshot_data.get("size_bytes", 0) / 1e6
@@ -967,19 +782,18 @@ class CheckinPhase(MiddlewarePhase):
         loop.call_later(resume_cost, ctx.complete_phase)
 
     def rollback(self, ctx: MigrationContext) -> None:
-        middleware = ctx.destination_middleware
-        if middleware is None or not ctx.dest_installed:
+        if not ctx.dest_installed:
             return
+        middleware = ctx.destination_middleware
         app = ctx.dest_app
-        if app is not None and app.status is not AppStatus.RUNNING \
+        if app.status is not AppStatus.RUNNING \
                 and app.name in middleware.applications:
             middleware.uninstall_application(app.name)
 
     def describe_error(self, ctx: MigrationContext,
                        exc: BaseException) -> str:
-        host = ctx.destination_middleware.host_name \
-            if ctx.destination_middleware is not None else "?"
-        return f"unwrap failed at {host}: {exc}"
+        return (f"unwrap failed at {ctx.destination_middleware.host_name}: "
+                f"{exc}")
 
 
 class RebindPhase(MiddlewarePhase):
@@ -987,9 +801,6 @@ class RebindPhase(MiddlewarePhase):
     streams ("played remotely through URL in the original host")."""
 
     name = "rebind"
-    contract = MiddlewareContract(requires=frozenset({"arrival"}),
-                                  provides=frozenset({"bindings"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -1002,9 +813,8 @@ class RebindPhase(MiddlewarePhase):
                 binding = app.component(rebind.binding_name)
                 binding.rebind(rebind.target_resource or
                                rebind.original_resource, rebind.mode)
-                if outcome is not None:
-                    outcome.log(f"rebound {rebind.binding_name} -> "
-                                f"{rebind.target_resource} ({rebind.mode})")
+                outcome.log(f"rebound {rebind.binding_name} -> "
+                            f"{rebind.target_resource} ({rebind.mode})")
         remote_total = sum(plan.remote_data_bytes.values())
         if remote_total > 0:
             # "They will be played remotely through URL in the original
@@ -1014,9 +824,8 @@ class RebindPhase(MiddlewarePhase):
                 REMOTE_OPEN_BASE_MS, middleware.fetch_remote_data,
                 plan.source, plan.app_name, fetch_bytes, ctx.complete_phase,
                 ctx.fail)
-            if outcome is not None:
-                outcome.log(f"opening remote data: fetching {fetch_bytes} B "
-                            f"from {plan.source}")
+            outcome.log(f"opening remote data: fetching {fetch_bytes} B "
+                        f"from {plan.source}")
         else:
             ctx.complete_phase()
 
@@ -1026,9 +835,6 @@ class PowerUpPhase(MiddlewarePhase):
     publish the resumption -- the app is running at the destination."""
 
     name = "powerup"
-    contract = MiddlewareContract(requires=frozenset({"bindings"}),
-                                  provides=frozenset({"resumed"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         from repro.core.snapshot import Snapshot
@@ -1049,39 +855,36 @@ class PowerUpPhase(MiddlewarePhase):
         # Adapt to the destination device and the owner's preferences.
         report = middleware.adaptor.adapt(app, middleware.device_profile,
                                           app.user_profile)
-        if outcome is not None and report.changes:
+        if report.changes:
             outcome.log(f"adapted: {len(report.changes)} attribute changes")
         if plan.kind is MigrationKind.CLONE_DISPATCH:
             middleware.establish_sync_replica(app, plan.source)
-            if outcome is not None:
-                outcome.log(f"sync link established to master {plan.source}")
-        sync_master = getattr(ma, "manifest", {}).get("sync_master")
+            outcome.log(f"sync link established to master {plan.source}")
+        sync_master = ma.manifest.get("sync_master")
         if sync_master is not None:
             # Master handoff: reclaim the replica set and re-point every
             # replica at this host.
             middleware.assume_sync_master(app, sync_master["replicas"])
-            if outcome is not None:
-                outcome.log(f"sync master moved; re-pointed replicas "
-                            f"{sync_master['replicas']}")
+            outcome.log(f"sync master moved; re-pointed replicas "
+                        f"{sync_master['replicas']}")
         middleware.registry_client.call(
             "register_application",
             {"record": middleware._application_record(app).to_dict()},
             lambda result, error: None)
         middleware.publish_app_event(app, "resumed")
-        if outcome is not None:
-            outcome.resume_done_at = loop.now
-            outcome.completed = True
-            outcome.end_spans(host=middleware.host,
-                              bytes=outcome.bytes_transferred)
-            obs = loop.observability
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("migration.completed",
-                                kind=plan.kind.value).inc()
-                for phase_name, value in outcome.phases().items():
-                    metrics.histogram("migration.phase_ms", phase=phase_name,
-                                      app=plan.app_name).observe(value)
-            outcome._finish()
+        outcome.resume_done_at = loop.now
+        outcome.completed = True
+        outcome.end_spans(host=middleware.host,
+                          bytes=outcome.bytes_transferred)
+        obs = loop.observability
+        if obs is not None:
+            metrics = obs.metrics
+            metrics.counter("migration.completed",
+                            kind=plan.kind.value).inc()
+            for phase_name, value in outcome.phases().items():
+                metrics.histogram("migration.phase_ms", phase=phase_name,
+                                  app=plan.app_name).observe(value)
+        outcome._finish()
         ma.do_delete()
         ctx.complete_phase()
 
@@ -1093,8 +896,6 @@ class PrestageAdmissionPhase(MiddlewarePhase):
     """Validate a pre-staging request and mint its outcome."""
 
     name = "admission"
-    contract = MiddlewareContract(requires=frozenset({"request"}),
-                                  provides=frozenset({"app", "outcome"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1115,8 +916,6 @@ class PrestagePlanningPhase(MiddlewarePhase):
     when the destination already holds every component kind."""
 
     name = "planning"
-    contract = MiddlewareContract(requires=frozenset({"app", "outcome"}),
-                                  provides=frozenset({"plan"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1162,8 +961,6 @@ class PackPhase(MiddlewarePhase):
     """Open the prestage span and pay the packing cost."""
 
     name = "pack"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"package"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1185,9 +982,6 @@ class PrestageTransferPhase(MiddlewarePhase):
     rollback)."""
 
     name = "transfer"
-    contract = MiddlewareContract(requires=frozenset({"package"}),
-                                  provides=frozenset({"agent"}))
-    handoff = True
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1222,49 +1016,20 @@ class InstallPhase(MiddlewarePhase):
     components and pay the install cost."""
 
     name = "install"
-    contract = MiddlewareContract(requires=frozenset({"agent"}),
-                                  provides=frozenset({"arrival"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
-        loop = middleware.loop
-        ma = ctx.ma
-        outcome = ctx.outcome
-        plan = ctx.arrived_plan
-        manifest = ma.manifest
-        now = loop.now
-        if outcome is not None:
-            outcome.migrate_done_at = now
-            outcome.log(f"mobile agent {ma.local_name} checked in at "
-                        f"{now:.1f}")
-        app = middleware.applications.get(plan.app_name)
-        if app is None:
-            app = Application.from_manifest(manifest)
-            middleware.install_application(app, register=True)
-            ctx.dest_installed = True
-        else:
-            merged = app.merge_components(manifest)
-            if outcome is not None and merged:
-                outcome.log(f"merged carried components: {merged}")
-        ctx.dest_app = app
+        _unwrap(ctx)
         install_cost = CLONE_SNAPSHOT_BASE_MS * middleware.host.cpu_factor
-        loop.call_later(install_cost, ctx.complete_phase)
+        middleware.loop.call_later(install_cost, ctx.complete_phase)
 
-    def describe_error(self, ctx: MigrationContext,
-                       exc: BaseException) -> str:
-        host = ctx.destination_middleware.host_name \
-            if ctx.destination_middleware is not None else "?"
-        return f"unwrap failed at {host}: {exc}"
+    describe_error = CheckinPhase.describe_error
 
 
 class PrestageFinishPhase(MiddlewarePhase):
     """Register the pre-staged components and close the outcome."""
 
     name = "finish"
-    contract = MiddlewareContract(requires=frozenset({"arrival"}),
-                                  provides=frozenset({"resumed"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -1277,28 +1042,17 @@ class PrestageFinishPhase(MiddlewarePhase):
             "register_application",
             {"record": middleware._application_record(app).to_dict()},
             lambda result, error: None)
-        if outcome is not None:
-            outcome.resume_done_at = loop.now
-            outcome.completed = True
-            outcome.log(f"prestaged {plan.carry_components} on "
-                        f"{middleware.host_name}")
-            outcome._finish()
+        outcome.resume_done_at = loop.now
+        outcome.completed = True
+        outcome.log(f"prestaged {plan.carry_components} on "
+                    f"{middleware.host_name}")
+        outcome._finish()
         ma.do_delete()
         ctx.complete_phase()
 
 
 # -- stack builders ---------------------------------------------------------
 
-
-#: The default migration stack's contracts, by phase name (documentation
-#: and introspection surface; the builders below construct the phases).
-MIDDLEWARE_CONTRACTS: Dict[str, MiddlewareContract] = {
-    phase.name: phase.contract
-    for phase in (AdmissionPhase(), PlanningPhase(),
-                  DirectNegotiationPhase(), SuspendPhase(), CapturePhase(),
-                  TransferPhase(), CheckinPhase(), RebindPhase(),
-                  PowerUpPhase())
-}
 
 #: Protocols a middleware config may select.
 MIGRATION_PROTOCOLS = ("direct", "fipa")
@@ -1320,7 +1074,7 @@ def migration_phases(protocol: str = "direct"
 
 
 def build_migration_pipeline(config) -> MigrationPipeline:
-    """The migration stack for one middleware config (validated)."""
+    """The migration stack for one middleware config."""
     protocol = getattr(config, "migration_protocol", "direct")
     return MigrationPipeline(f"migration/{protocol}",
                              migration_phases(protocol))

@@ -156,8 +156,10 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
         assert flows
         assert [flow for flow in flows if flow.jobs is not None] == []
 
+    @pytest.mark.parametrize("token", [None, "ghost#1"],
+                             ids=["finished", "unknown"])
     def test_late_agent_for_a_finished_migration_changes_nothing(
-            self, monkeypatch):
+            self, monkeypatch, token):
         d, hosts = _room(("player", "pc1"))
         outcome = hosts["pc1"].migrate("player", "pc2")
         d.run_all()
@@ -172,11 +174,16 @@ class TestFinishedMigrationKeepsOnlyItsOutcome:
 
         monkeypatch.setattr(MigrationPipeline, "_run_phase",
                             counting_run_phase)
+        plan = plan_to_dict(outcome.plan)
+        if token is not None:
+            plan["token"] = token  # a token no outcome has
         late = hosts["pc2"].container.create_agent(MDMobileAgent, "ma-late")
-        late.load_cargo({}, {}, plan_to_dict(outcome.plan))
+        late.load_cargo({}, {}, plan)
         hosts["pc2"]._on_mobile_agent_arrival(late)
         d.run_all()
         assert phases_run == []
+        assert not hosts["pc2"].container.has_agent("ma-late")
+        assert d.platform.where_is("ma-late") is None
         assert _running_on(d, "player") == ["pc2"]
         assert outcome.completed and not outcome.failed
         assert outcome.events == events
