@@ -308,7 +308,7 @@ class MDAgentMiddleware:
         predicted move; execution stays here, but a later migration finds
         the components installed and wraps only the state."""
         request = MigrationRequest(app_name=app_name,
-                                   destination=destination, prestage=True)
+                                   destination=destination)
         ctx = MigrationContext(self.prestage_pipeline, self, request,
                                failpoints=self.pipeline_failpoints)
         self.prestage_pipeline.start(ctx)

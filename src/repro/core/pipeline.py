@@ -163,7 +163,6 @@ class MigrationRequest:
     destination: str
     kind: MigrationKind = MigrationKind.FOLLOW_ME
     policy: BindingPolicy = BindingPolicy.ADAPTIVE
-    prestage: bool = False
 
 
 class MigrationContext:
@@ -306,12 +305,6 @@ class MigrationPipeline:
     def __init__(self, name: str, phases: Sequence[MiddlewarePhase]):
         self.name = name
         self.phases: List[MiddlewarePhase] = list(phases)
-
-    def phase(self, name: str) -> MiddlewarePhase:
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise PipelineError(f"no phase {name!r} in pipeline {self.name!r}")
 
     def start(self, ctx: MigrationContext) -> MigrationContext:
         self._advance(ctx)
@@ -967,7 +960,6 @@ class PackPhase(MiddlewarePhase):
         loop = middleware.loop
         plan = ctx.plan
         outcome = ctx.outcome
-        plan.prestage = True
         outcome.started_at = loop.now
         outcome.begin_spans(loop.observability, "app.prestage", "migration",
                             middleware.host, app=plan.app_name,

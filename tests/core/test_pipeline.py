@@ -8,7 +8,6 @@ import pytest
 from repro.apps.music_player import MusicPlayerApp
 from repro.core import Deployment, PipelineError
 from repro.core.pipeline import (
-    MigrationPipeline,
     build_migration_pipeline,
     build_prestage_pipeline,
     migration_phases,
@@ -31,12 +30,6 @@ class TestPipelineConstruction:
         with pytest.raises(PipelineError) as err:
             migration_phases("jade")
         assert "unknown migration protocol" in str(err.value)
-
-    def test_phase_lookup(self):
-        pipeline = MigrationPipeline("m", migration_phases("direct"))
-        assert pipeline.phase("suspend").name == "suspend"
-        with pytest.raises(PipelineError):
-            pipeline.phase("teleport")
 
     def test_builders_pick_protocol_from_config(self):
         class Config:
