@@ -73,6 +73,11 @@ DATA_PROTOCOL = "md.data"
 SYNC_MESSAGE_SIZE = 96
 #: RTT assumed for a peer no probe has measured yet.
 PROBE_DEFAULT_RTT_MS = 10.0
+#: Capability tuple advertised during FIPA negotiation: a host's platform
+#: kind unless ``Deployment.add_host`` names another, and the wire format
+#: every host speaks.
+PLATFORM_KIND = "mdagent"
+SERIALIZATION_VERSION = 1
 # Remote-data streaming moves multi-MB payloads: classify it as bulk so it
 # fair-shares links with agent transfers instead of head-of-line blocking
 # sync/ACL control traffic (md.sync stays control).
@@ -99,12 +104,6 @@ class MiddlewareConfig:
     #: capability grant is implicit and free) or "fipa" (pre-transfer
     #: propose/accept-proposal/reject-proposal negotiation over ACL).
     migration_protocol: str = "direct"
-    #: Capability tuple advertised during FIPA negotiation.
-    platform_kind: str = "mdagent"
-    serialization_version: int = 1
-    #: Foreign platform kinds this middleware agrees to host (its own
-    #: kind is always accepted).
-    accepted_platform_kinds: Tuple[str, ...] = ()
     #: Deadline for one FIPA negotiation round trip.
     negotiation_timeout_ms: float = 5_000.0
     #: Per-attempt deadline on remote-data fetches; 0 (the default) keeps
@@ -128,12 +127,11 @@ class MDAgentMiddleware:
         self.container = container
         self.device_profile = device_profile
         self.config = config if config is not None else MiddlewareConfig()
-        # Interop identity (per-host overrides beat the config defaults).
-        self.platform_kind = platform_kind or self.config.platform_kind
-        self.accepted_platform_kinds = tuple(
-            accepted_platform_kinds if accepted_platform_kinds is not None
-            else self.config.accepted_platform_kinds)
-        self.serialization_version = self.config.serialization_version
+        # Interop identity: a host accepts agents of its own platform kind
+        # and of any kind in ``accepted_platform_kinds``.
+        self.platform_kind = platform_kind or PLATFORM_KIND
+        self.accepted_platform_kinds = tuple(accepted_platform_kinds or ())
+        self.serialization_version = SERIALIZATION_VERSION
         # The middleware stacks this host runs migrations with.
         self.migration_pipeline = build_migration_pipeline(self.config)
         self.prestage_pipeline = build_prestage_pipeline(self.config)
@@ -908,9 +906,9 @@ class Deployment:
         """Create a host in a space and start a middleware on it.
 
         The first host added also becomes the registry center unless
-        :meth:`install_registry` ran earlier.  ``platform_kind`` and
-        ``accepted_platform_kinds`` override the config defaults for
-        mixed-platform (FIPA interop) deployments.
+        :meth:`install_registry` ran earlier.  ``platform_kind`` (default
+        :data:`PLATFORM_KIND`) and ``accepted_platform_kinds`` set the
+        host's identity for mixed-platform (FIPA interop) deployments.
         """
         profile = profile if profile is not None else DeviceProfile(host=name)
         host = self.topology.add_host(name, space, skew_ms=skew_ms,
