@@ -18,14 +18,27 @@ MIGRATION_ORDER = ["admission", "planning", "negotiation", "suspend",
                    "capture", "transfer", "checkin", "rebind", "powerup"]
 
 
-class TestPipelineConstruction:
-    def test_direct_and_fipa_stack_order(self):
+class TestValidator:
+    """Each stack is a literal phase list, so its order is pinned here
+    rather than checked when a host builds it."""
+
+    def test_default_stack_order_and_contracts(self):
         # Paper Fig. 4: suspend and wrap at the source, transfer, then
         # unwrap, rebind and resume at the destination.
-        for protocol in ("direct", "fipa"):
-            phases = migration_phases(protocol)
-            assert [p.name for p in phases] == MIGRATION_ORDER, protocol
+        phases = migration_phases("direct")
+        assert [p.name for p in phases] == MIGRATION_ORDER
 
+    def test_fipa_stack_has_same_shape(self):
+        direct = migration_phases("direct")
+        fipa = migration_phases("fipa")
+        assert [p.name for p in fipa] == [p.name for p in direct]
+        # Only the negotiation phase differs between the two protocols.
+        differing = [p.name for p, q in zip(direct, fipa)
+                     if type(p) is not type(q)]
+        assert differing == ["negotiation"]
+
+
+class TestPipelineConstruction:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(PipelineError) as err:
             migration_phases("jade")
