@@ -20,10 +20,11 @@ substituted, or must it be carried / remoted?
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ontology.owl import Ontology
 from repro.ontology.schema import SchemaReasoner
+from repro.ontology.triples import Graph, Triple
 from repro.ontology.vocabulary import IMCL, OWL_THING
 
 #: Marker classes (not "real" resource types; excluded from compatibility).
@@ -39,14 +40,13 @@ _MARKERS: Set[str] = {
 }
 
 
-def base_resource_ontology() -> Ontology:
-    """The shared upper taxonomy every MDAgent deployment starts from.
+def _declare_base_taxonomy(onto: Ontology) -> None:
+    """Author the shared upper taxonomy into ``onto``.
 
     Mirrors the paper's examples: printers (substitutable, untransferable),
     databases (neither), PDAs (transferable, unsubstitutable), plus media
     and application-component classes the demo applications use.
     """
-    onto = Ontology("imcl")
     onto.declare_class(RESOURCE)
     for marker in (TRANSFERABLE, UNTRANSFERABLE, SUBSTITUTABLE, UNSUBSTITUTABLE):
         onto.declare_class(marker)
@@ -77,7 +77,41 @@ def base_resource_ontology() -> Ontology:
     onto.declare_class(IMCL.Codec, parents=[IMCL.SoftwareComponent])
     onto.declare_class(IMCL.UserInterface, parents=[IMCL.SoftwareComponent])
     onto.declare_class(IMCL.ApplicationLogic, parents=[IMCL.SoftwareComponent])
-    return onto
+
+
+class _AuthoringGraph(Graph):
+    """A graph that also lists its triples in the order they were added."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.added: List[Triple] = []
+
+    def add(self, triple: Triple) -> bool:
+        if not super().add(triple):
+            return False
+        self.added.append(triple)
+        return True
+
+
+def _author_base_taxonomy() -> Tuple[Triple, ...]:
+    graph = _AuthoringGraph()
+    _declare_base_taxonomy(Ontology("imcl", graph))
+    return tuple(graph.added)
+
+
+#: The base taxonomy's triples, authored once per process, in authoring
+#: order: a graph that adds them in this order gets the same index order
+#: (and so the same hash-seed independence) as the authoring code's.
+_BASE_TAXONOMY: Tuple[Triple, ...] = _author_base_taxonomy()
+
+
+def base_resource_ontology() -> Ontology:
+    """The shared upper taxonomy every MDAgent deployment starts from.
+
+    Each call returns a fresh graph built from the once-authored triples,
+    so a caller may mutate its copy without touching anyone else's.
+    """
+    return Ontology("imcl", Graph(_BASE_TAXONOMY))
 
 
 @dataclass
@@ -105,24 +139,31 @@ class ResourceMatcher:
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
-        self._reasoner = SchemaReasoner(ontology.graph)
+        #: The subsumption index, built by the first query that needs it.
+        self._reasoner: Optional[SchemaReasoner] = None
 
     def refresh(self) -> None:
-        """Rebuild the subsumption index after ontology mutation."""
-        self._reasoner = SchemaReasoner(self.ontology.graph)
+        """Invalidate the subsumption index after ontology mutation; the
+        next query rebuilds it from the graph as it is then."""
+        self._reasoner = None
 
     # -- classification ------------------------------------------------------
+
+    def _types_of(self, individual: str) -> Set[str]:
+        if self._reasoner is None:
+            self._reasoner = SchemaReasoner(self.ontology.graph)
+        return self._reasoner.types_of(individual)
 
     def semantic_classes(self, individual: str) -> Set[str]:
         """Resource classes of an individual, excluding the marker axes."""
         return {
-            cls for cls in self._reasoner.types_of(individual)
+            cls for cls in self._types_of(individual)
             if cls not in _MARKERS
         }
 
     def _has_marker(self, individual: str, marker: str,
                     negative_marker: str, default: bool) -> bool:
-        types = self._reasoner.types_of(individual)
+        types = self._types_of(individual)
         if negative_marker in types:
             return False
         if marker in types:

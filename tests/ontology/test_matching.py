@@ -4,10 +4,15 @@ import pytest
 
 from repro.ontology.matching import (
     ResourceMatcher,
+    _declare_base_taxonomy,
     base_resource_ontology,
 )
 from repro.ontology.owl import Ontology
+from repro.ontology.schema import SchemaReasoner
 from repro.ontology.vocabulary import IMCL
+from repro.registry.federation import RegistryShard
+from repro.registry.records import ResourceRecord
+from repro.registry.registry import RegistryCenter
 
 
 @pytest.fixture
@@ -139,3 +144,70 @@ def test_ontology_roundtrip_through_dict():
 def test_ontology_size_bytes_positive():
     onto = base_resource_ontology()
     assert onto.size_bytes() > 0
+
+
+# -- the once-authored taxonomy template ---------------------------------------
+
+BASE_TRIPLES = 53
+
+
+def authored_ontology() -> Ontology:
+    """The base taxonomy as the authoring code builds it."""
+    onto = Ontology("imcl")
+    _declare_base_taxonomy(onto)
+    return onto
+
+
+def index_order(graph):
+    """Every SPO/POS/OSP index level in iteration order."""
+    return [[(key, [(inner, list(values)) for inner, values in level.items()])
+             for key, level in index.items()]
+            for index in (graph._spo, graph._pos, graph._osp)]
+
+
+def test_template_replays_the_authoring_order():
+    fresh, authored = base_resource_ontology(), authored_ontology()
+    assert len(fresh) == len(authored) == BASE_TRIPLES
+    assert fresh.to_dict() == authored.to_dict()
+    assert index_order(fresh.graph) == index_order(authored.graph)
+
+
+def test_template_is_isolated_from_every_graph_built_from_it():
+    center = RegistryCenter()
+    center.ontology.declare_class("imcl:hpLaserJet", parents=["imcl:Printer"])
+    center.register_resource(
+        ResourceRecord("imcl:hp1", "h1", ["imcl:hpLaserJet"]))
+    shard = RegistryShard("lab")
+    assert shard._install_ghosts(
+        {"imcl:ghost": {"classes": ["imcl:Printer"], "substitutable": True}}
+    ) == ["imcl:ghost"]
+    assert len(center.ontology) > BASE_TRIPLES
+    assert len(shard.ontology) > BASE_TRIPLES
+
+    authored = authored_ontology().to_dict()
+    for onto in (base_resource_ontology(), RegistryCenter().ontology):
+        assert len(onto) == BASE_TRIPLES
+        assert onto.to_dict() == authored
+
+
+def test_matcher_builds_its_closure_once_after_many_registrations(
+        monkeypatch):
+    builds = []
+    init = SchemaReasoner.__init__
+
+    def counting_init(self, graph):
+        builds.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(SchemaReasoner, "__init__", counting_init)
+    center = RegistryCenter()
+    models = [f"imcl:Model{k}" for k in range(5)]
+    for k, model in enumerate(models):
+        center.ontology.declare_class(model, parents=["imcl:Printer"])
+        center.register_resource(ResourceRecord(f"imcl:p{k}", "h1", [model]))
+    assert builds == []
+    for k, model in enumerate(models):
+        assert center.matcher.semantic_classes(f"imcl:p{k}") == \
+            {model, "imcl:Printer"}
+        assert center.matcher.is_substitutable(f"imcl:p{k}")
+    assert builds == [center.ontology.graph]
