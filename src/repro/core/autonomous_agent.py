@@ -16,8 +16,9 @@ REQUESTs the mobile agent manager to execute (the Fig. 4 sequence).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
@@ -50,13 +51,28 @@ class Decision:
 
 
 class DecisionEngine:
-    """Evaluates the migration rules over situation facts."""
+    """Evaluates the migration rules over situation facts.
 
-    def __init__(self, rules: Optional[RuleSet] = None,
+    ``rules`` is a rule set or a zero-argument function returning one
+    (default: the migration rules at ``response_time_threshold_ms``).  A
+    function runs once, when the engine first needs the rules, so an
+    engine that never evaluates parses nothing.
+    """
+
+    def __init__(self,
+                 rules: Union[RuleSet, Callable[[], RuleSet], None] = None,
                  response_time_threshold_ms: float = 1000.0):
-        self.rules = rules if rules is not None else \
-            default_migration_rules(response_time_threshold_ms)
+        if rules is None:
+            rules = functools.partial(default_migration_rules,
+                                      response_time_threshold_ms)
+        self._rules = rules
         self.evaluations = 0
+
+    @property
+    def rules(self) -> RuleSet:
+        if callable(self._rules):
+            self._rules = self._rules()
+        return self._rules
 
     def evaluate(self, source: str, destination: str,
                  response_time_ms: float, device_compatible: bool,
@@ -130,7 +146,8 @@ class MDAutonomousAgent(Agent):
 
     def attach(self, middleware: "MDAgentMiddleware") -> None:
         self.middleware = middleware
-        self.engine = DecisionEngine(middleware.deployment.migration_rules)
+        deployment = middleware.deployment
+        self.engine = DecisionEngine(lambda: deployment.migration_rules)
 
     def setup(self) -> None:
         self.add_behaviour(ContextPump(name="context-pump"))

@@ -10,6 +10,7 @@ context kernel + registry) with a few calls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -59,6 +60,7 @@ from repro.net.simnet import (
     register_bulk_protocol,
 )
 from repro.net.topology import LinkSpec, Topology
+from repro.ontology.rules import RuleSet
 from repro.registry.records import ApplicationRecord, InterfaceDescription, Operation
 from repro.registry.registry import (
     CachingRegistryClient,
@@ -845,10 +847,9 @@ class Deployment:
             if e.get("location") else None)
         self.sensors: Optional[CricketSensorNetwork] = None
         self.config = config if config is not None else MiddlewareConfig()
-        # One parse for every host's decision engine: the reasoner only
-        # iterates the rules, so the hosts can share them.
-        self.migration_rules = default_migration_rules(
-            self.config.response_time_threshold_ms)
+        # The threshold the migration rules are parsed with, bound now:
+        # the config may be edited after construction.
+        self._rules_threshold_ms = self.config.response_time_threshold_ms
         self.middlewares: Dict[str, MDAgentMiddleware] = {}
         self.device_profiles: Dict[str, DeviceProfile] = {}
         self.registry_server: Optional[RegistryServer] = None
@@ -865,6 +866,16 @@ class Deployment:
         if faults is not None:
             from repro.faults.engine import ChaosEngine
             self.chaos = ChaosEngine(self, faults)
+
+    @functools.cached_property
+    def migration_rules(self) -> RuleSet:
+        """The rule set every host's decision engine shares.
+
+        Parsed when an engine first evaluates, once per deployment (the
+        reasoner only iterates the rules, so the hosts can share them);
+        most deployments never evaluate and parse nothing.
+        """
+        return default_migration_rules(self._rules_threshold_ms)
 
     def _arm_chaos(self, trigger: str) -> None:
         if self.chaos is not None and self.chaos.config.arm == trigger:

@@ -38,3 +38,54 @@ def test_deployments_do_not_share_rule_sets():
     assert move_threshold(slow.migration_rules) == 2000.0
     # No process-wide memo: equal configs still get their own rule set.
     assert build().migration_rules is not build().migration_rules
+
+
+def test_building_and_running_a_deployment_parses_no_rules(monkeypatch):
+    """Rules wait for a decision engine's first evaluation and the resource
+    taxonomy is authored once per process, so building, launching and
+    running a deployment parses no rule and declares no class."""
+    import repro.core.rulesets as rulesets
+    import repro.ontology.rules as rules
+    from repro.ontology.owl import Ontology
+    from repro.simcheck.scenario import (
+        build_application,
+        build_deployment,
+        generate_scenario,
+    )
+
+    calls = {"parse_rules": 0, "declare_class": 0}
+    parse_rules = rules.parse_rules
+    declare_class = Ontology.declare_class
+
+    def counting_parse_rules(text):
+        calls["parse_rules"] += 1
+        return parse_rules(text)
+
+    def counting_declare_class(self, *args, **kwargs):
+        calls["declare_class"] += 1
+        return declare_class(self, *args, **kwargs)
+
+    # rulesets imported its own binding of parse_rules; count both.
+    monkeypatch.setattr(rules, "parse_rules", counting_parse_rules)
+    monkeypatch.setattr(rulesets, "parse_rules", counting_parse_rules)
+    monkeypatch.setattr(Ontology, "declare_class", counting_declare_class)
+    for seed in range(5):
+        scenario = generate_scenario(seed)
+        d = build_deployment(scenario)
+        for spec in scenario.apps:
+            d.middleware(spec.launch_host).launch_application(
+                build_application(spec))
+        d.run_all()
+    assert calls == {"parse_rules": 0, "declare_class": 0}
+
+    engine = next(iter(d.middlewares.values())).aa.engine
+    assert engine.evaluate("h1", "h2", 50.0, True, True).move
+    assert engine.evaluate("h1", "h2", 50.0, True, True).move
+    assert calls == {"parse_rules": 1, "declare_class": 0}
+
+
+def test_rules_keep_the_threshold_the_deployment_was_built_with():
+    d = build(MiddlewareConfig(response_time_threshold_ms=250.0))
+    d.config.response_time_threshold_ms = 4000.0  # edited after the build
+    assert move_threshold(d.middleware("pc1").aa.engine.rules) == 250.0
+    assert move_threshold(d.migration_rules) == 250.0
