@@ -716,8 +716,8 @@ class MobilityService:
             self._dedup(container, None)
             return
         if len(seen) < total:
-            # The final chunk outran an earlier one (a loss, or the
-            # fair-share lane finishing a short last chunk first): its
+            # The final chunk outran an earlier one (a loss, or a route
+            # that changed mid-transfer putting it on a shorter path): its
             # payload waits until whichever chunk completes the set.
             return
         inner = self._rx_final.pop(key)

@@ -3,8 +3,8 @@
 Covers the window protocol (pipelining, go-back-N resume, determinism of
 window=1 against the frozen stop-and-wait golden) and the satellite
 regressions: the ``_rx_chunks`` leak, a final chunk that arrives before
-an earlier one, cost-model validation, and the zero-byte degenerate chunk
-plan.
+an earlier one (a fixed case and a property), cost-model validation, and
+the zero-byte degenerate chunk plan.
 """
 
 import importlib.util
@@ -12,6 +12,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.mobility import (
@@ -292,8 +293,8 @@ def test_straggler_chunk_after_completion_dedups_without_resurrecting():
 
 
 def test_final_chunk_before_an_intermediate_one_checks_in_once():
-    """Nothing lost, but the fair-share lane finished the short final
-    chunk first: its payload waits for the chunk that completes the set."""
+    """Nothing lost, but the final chunk arrived first (a shorter route):
+    its payload waits for the chunk that completes the set."""
     loop, net, platform, c1, c2 = rig()
     mobility = platform.mobility
     result = MigrationResult(agent_name="early", source="h1",
@@ -307,6 +308,62 @@ def test_final_chunk_before_an_intermediate_one_checks_in_once():
     assert mobility.moves_completed == 1
     assert mobility.dedup_hits == 0
     assert c2.has_agent("early")
+    assert mobility._rx_chunks == {}
+    assert mobility._rx_final == {}
+
+
+@register_agent_type
+class DetourCourier(Agent):
+    blob = ""
+
+    def get_state(self):
+        return {"blob": self.blob}
+
+    def restore_state(self, state):
+        pass
+
+
+_SNAPSHOT_OVERHEAD = AgentSnapshot("DetourCourier", "x", {"blob": ""}).size_bytes
+
+
+@given(chunk=st.integers(400, 4_000), full_chunks=st.integers(1, 4),
+       last_share=st.floats(0.05, 0.95), back_chunks=st.integers(1, 5),
+       window=st.integers(2, 4), back_after_ms=st.floats(0.0, 20.0),
+       restore_ms=st.floats(60.0, 90.0))
+def test_a_final_chunk_that_overtakes_on_a_lossless_link_checks_in_once(
+        chunk, full_chunks, last_share, back_chunks, window, back_after_ms,
+        restore_ms):
+    """Both agents check in exactly once and the receiver tables drain.
+
+    The direct h1-h2 link is down when the move starts, so the first
+    chunks take the two-hop detour through h3; when it comes back
+    mid-transfer, later chunks take the one-hop route and a short final
+    chunk can overtake its predecessor with nothing lost.  An
+    opposite-direction move contends for the same links.  (Fair sharing
+    alone never reorders: each flow is FIFO.)
+    """
+    loop, net, platform, c1, c2 = rig()
+    net.create_host("h3")
+    net.connect("h1", "h3", bandwidth_mbps=10.0, latency_ms=1.0)
+    net.connect("h3", "h2", bandwidth_mbps=10.0, latency_ms=1.0)
+    net.disconnect("h1", "h2")
+    loop.call_later(restore_ms, net.connect, "h1", "h2", 10.0, 1.0)
+    mobility = platform.mobility
+    mobility.cost_model.transfer_chunk_bytes = chunk
+    mobility.cost_model.transfer_window = window
+    out = c1.create_agent(DetourCourier, "out")
+    last_chunk = max(1, int(last_share * chunk))  # short: < chunk
+    out.blob = "x" * (full_chunks * chunk + last_chunk - _SNAPSHOT_OVERHEAD)
+    back = c2.create_agent(DetourCourier, "back")
+    back.blob = "y" * (back_chunks * chunk - _SNAPSHOT_OVERHEAD)
+    results = [out.do_move("h2")]
+    loop.call_later(back_after_ms,
+                    lambda: results.append(back.do_move("h1")))
+    loop.run()
+    assert results[0].chunks_total == full_chunks + 1
+    assert all(result.completed for result in results)
+    assert mobility.moves_completed == 2
+    assert mobility.dedup_hits == 0
     assert mobility._rx_chunks == {}
     assert mobility._rx_final == {}
 
