@@ -1,6 +1,15 @@
-"""The migration rule set is parsed once per deployment and shared."""
+"""The migration rule set is parsed once per deployment, at first use,
+and shared by the deployment's hosts."""
 
+import repro.core.rulesets as rulesets
+import repro.ontology.rules as rules
 from repro.core import Deployment, MiddlewareConfig
+from repro.ontology.owl import Ontology
+from repro.simcheck.scenario import (
+    build_application,
+    build_deployment,
+    generate_scenario,
+)
 
 
 def build(config=None) -> Deployment:
@@ -44,15 +53,6 @@ def test_building_and_running_a_deployment_parses_no_rules(monkeypatch):
     """Rules wait for a decision engine's first evaluation and the resource
     taxonomy is authored once per process, so building, launching and
     running a deployment parses no rule and declares no class."""
-    import repro.core.rulesets as rulesets
-    import repro.ontology.rules as rules
-    from repro.ontology.owl import Ontology
-    from repro.simcheck.scenario import (
-        build_application,
-        build_deployment,
-        generate_scenario,
-    )
-
     calls = {"parse_rules": 0, "declare_class": 0}
     parse_rules = rules.parse_rules
     declare_class = Ontology.declare_class
