@@ -10,7 +10,6 @@ diagram (Fig. 4) relies on.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Tuple
 
@@ -35,9 +34,6 @@ def split_aid(aid: str) -> Tuple[str, str]:
     if not sep or not name or not host:
         raise ValueError(f"malformed agent id {aid!r} (want name@host)")
     return name, host
-
-
-_reply_ids = itertools.count(1)
 
 
 @dataclass
@@ -65,12 +61,6 @@ class ACLMessage:
     def add_receiver(self, aid: str) -> "ACLMessage":
         split_aid(aid)  # validate
         self.receivers.append(aid)
-        return self
-
-    def with_reply_id(self) -> "ACLMessage":
-        """Assign a fresh ``reply_with`` token for request/response pairing."""
-        if not self.reply_with:
-            self.reply_with = f"rw-{next(_reply_ids)}"
         return self
 
     def create_reply(self, performative: Performative,

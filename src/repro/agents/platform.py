@@ -11,6 +11,7 @@ container and flushed on check-in, so conversations survive a move.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Type
 
 from repro.agents.acl import ACLMessage, split_aid
@@ -149,6 +150,9 @@ class AgentPlatform:
         self.messages_sent = 0
         self.messages_failed = 0
         self.undelivered_buffered = 0
+        #: Conversation ids of the FIPA initiators this platform's agents
+        #: run (:mod:`repro.agents.protocols`).
+        self.conversation_ids = itertools.count(1)
         from repro.agents.mobility import MobilityService
         self.mobility = MobilityService(self)
 

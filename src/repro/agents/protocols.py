@@ -16,7 +16,6 @@ protocols; the platform provides the two MDAgent's migration path uses:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional
 
 from repro.agents.acl import ACLMessage, Performative
@@ -37,8 +36,6 @@ class ContractNetInitiator(Behaviour):
     proposals it fires with ``(None, None)``.
     """
 
-    _conversation_ids = itertools.count(1)
-
     def __init__(self, contractors, task: Any, protocol: str,
                  select: Callable[[dict], Optional[str]],
                  on_award: Callable[[Optional[str], Any], None],
@@ -50,7 +47,8 @@ class ContractNetInitiator(Behaviour):
         self.select = select
         self.on_award = on_award
         self.deadline_ms = deadline_ms
-        self.conversation_id = f"cnp-{next(self._conversation_ids)}"
+        #: Drawn from the agent platform's counter when the behaviour starts.
+        self.conversation_id = ""
         #: contractor aid -> proposal content
         self.proposals: dict = {}
         self.refusals: list = []
@@ -58,6 +56,8 @@ class ContractNetInitiator(Behaviour):
         self._deadline_timer = None
 
     def on_start(self) -> None:
+        platform = self.agent.container.platform
+        self.conversation_id = f"cnp-{next(platform.conversation_ids)}"
         if not self.contractors:
             self._award()
             return
@@ -168,8 +168,6 @@ class ProposeInitiator(Behaviour):
     optional, receiving the ACL message) and ``on_timeout``.
     """
 
-    _conversation_ids = itertools.count(1)
-
     def __init__(self, receiver: str, content: Any, protocol: str,
                  on_accept: Optional[Callable[[ACLMessage], None]] = None,
                  on_reject: Optional[Callable[[ACLMessage], None]] = None,
@@ -183,20 +181,22 @@ class ProposeInitiator(Behaviour):
         self.on_reject = on_reject
         self.on_timeout = on_timeout
         self.timeout_ms = timeout_ms
-        self.conversation_id = f"prop-{next(self._conversation_ids)}"
+        #: Drawn from the agent platform's counter when the behaviour starts.
+        self.conversation_id = ""
         self.state = "start"
         self.timed_out = False
         self._deadline_timer = None
 
     def on_start(self) -> None:
-        proposal = ACLMessage(
+        platform = self.agent.container.platform
+        self.conversation_id = f"prop-{next(platform.conversation_ids)}"
+        self.agent.send(ACLMessage(
             Performative.PROPOSE,
             receivers=[self.receiver],
             content=self.content,
             conversation_id=self.conversation_id,
             protocol=self.protocol,
-        ).with_reply_id()
-        self.agent.send(proposal)
+        ))
         self.state = "waiting"
         if self.timeout_ms is not None:
             self._deadline_timer = self.agent.loop.call_later(

@@ -287,7 +287,7 @@ class MDAutonomousAgent(Agent):
                 "carry_policy": decision.carry_policy,
             },
             protocol="md-migration",
-        ).with_reply_id()
+        )
         self.send(request)
 
 

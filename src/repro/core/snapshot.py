@@ -58,12 +58,11 @@ class Snapshot:
 class SnapshotManager:
     """Captures and restores application snapshots; bounded history."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, max_history: int = 16):
         if max_history < 1:
             raise SnapshotError("max_history must be >= 1")
         self.max_history = max_history
+        self._ids = itertools.count(1)
         self._history: Dict[str, List[Snapshot]] = {}
         self.captures = 0
         self.restores = 0

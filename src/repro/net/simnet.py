@@ -810,6 +810,10 @@ class Network:
         # per network so that a dropped deployment can be collected.
         self.registry_clients: Dict[str, Any] = {}
         self.registry_centers: Dict[str, Any] = {}
+        # Registry request ids, shared by every client and federation node
+        # on this network: a node hands a response it does not own to the
+        # client on its host, so their ids must not collide.
+        self.registry_request_ids = itertools.count(1)
 
     # -- construction -----------------------------------------------------
 

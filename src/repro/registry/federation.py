@@ -374,8 +374,8 @@ class FederationNode:
                                          request_id, operation, dict(args))
             return
         # A response: either to one of our fan-out sub-requests, or to a
-        # RegistryClient colocated on this host (request ids are globally
-        # unique, so the pending tables cannot collide).
+        # RegistryClient colocated on this host (request ids are unique per
+        # network, so the pending tables cannot collide).
         _, request_id, result, error = message.payload
         entry = self._subrequests.pop(request_id, None)
         if entry is not None:
@@ -498,7 +498,7 @@ class FederationNode:
             else:
                 remote.append((space, host))
         for space, host in remote:
-            sub_id = next(RegistryClient._request_ids)
+            sub_id = next(self.network.registry_request_ids)
             self._subrequests[sub_id] = (batch, space)
             emit_registry_event(self.network, "registry.request",
                                 operation=operation, source=self.host_name,

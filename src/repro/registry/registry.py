@@ -14,7 +14,6 @@ host-side stub with async callbacks.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.simnet import Message, Network
@@ -327,8 +326,6 @@ class RegistryClient:
     silent losses) -- a registry outage must never hang or crash a caller.
     """
 
-    _request_ids = itertools.count(1)
-
     def __init__(self, network: Network, host_name: str, server_host: str,
                  timeout_ms: float = 5_000.0):
         self.network = network
@@ -384,7 +381,7 @@ class RegistryClient:
 
             loop.call_soon(local)
             return
-        request_id = next(self._request_ids)
+        request_id = next(self.network.registry_request_ids)
         self._pending[request_id] = callback
         self._operations[request_id] = operation
         try:

@@ -26,7 +26,6 @@ from repro.simcheck.runner import (
     SimcheckReport,
     behaviour_digest,
     check_determinism,
-    reset_global_state,
     run_scenario,
     trace_digest,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "generate_scenario",
     "load_artifact",
     "replay_artifact",
-    "reset_global_state",
     "run_scenario",
     "shrink",
     "trace_digest",

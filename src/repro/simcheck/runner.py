@@ -2,16 +2,15 @@
 
 :func:`run_scenario` is the single entry point the fuzzer, the shrinker
 and artifact replay all share -- one scenario in, one
-:class:`SimcheckReport` out.  :func:`reset_global_state` re-seeds the
-handful of module/class-level counters in the codebase so two runs of the
-same scenario inside one process are identical
-(:func:`check_determinism` asserts exactly that on behaviour digests).
+:class:`SimcheckReport` out.  Every id sequence belongs to an object of
+the deployment it numbers, so a run depends on nothing an earlier run in
+the same process left behind; :func:`check_determinism` asserts that two
+back-to-back runs of one scenario give the same behaviour digest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -22,27 +21,6 @@ from repro.simcheck.scenario import (
     build_application,
     build_deployment,
 )
-
-
-def reset_global_state() -> None:
-    """Re-seed every module/class-level counter.
-
-    The simulation is deterministic per Deployment, but a few identifier
-    counters live at module or class scope: conversation ids, ACL
-    reply-with tokens, registry request ids and snapshot ids.  Their
-    values leak into estimated message sizes (string length counts), so
-    back-to-back runs in one process diverge unless the counters restart.
-    """
-    import repro.agents.acl as acl
-    from repro.agents.protocols import ContractNetInitiator, ProposeInitiator
-    from repro.core.snapshot import SnapshotManager
-    from repro.registry import registry as registry_module
-
-    acl._reply_ids = itertools.count(1)
-    ProposeInitiator._conversation_ids = itertools.count(1)
-    ContractNetInitiator._conversation_ids = itertools.count(1)
-    SnapshotManager._ids = itertools.count(1)
-    registry_module.RegistryClient._request_ids = itertools.count(1)
 
 
 def trace_digest(observability) -> str:
@@ -355,20 +333,12 @@ def _running_host(deployment, app_name: str) -> Optional[str]:
     return None
 
 
-def run_scenario(scenario: Scenario, fresh_state: bool = True
-                 ) -> SimcheckReport:
-    """Build, run and invariant-check one scenario.
-
-    With ``fresh_state`` (the default) the global counters are re-seeded
-    first, so the run is reproducible regardless of what the process did
-    before -- required for determinism checks and shrinking.
-    """
+def run_scenario(scenario: Scenario) -> SimcheckReport:
+    """Build, run and invariant-check one scenario."""
     from repro.core import BindingPolicy
     from repro.core.errors import MiddlewareError, MigrationError
     from repro.obs import FlightRecorder, Observability
 
-    if fresh_state:
-        reset_global_state()
     if scenario.sabotage in SABOTAGE_NEEDS_FEDERATION:
         scenario.federated_registry = True
     observability = Observability()
@@ -442,11 +412,11 @@ def run_scenario(scenario: Scenario, fresh_state: bool = True
 
 
 def check_determinism(scenario: Scenario) -> Dict[str, Any]:
-    """Run a scenario twice from fresh state; compare behaviour digests.
+    """Run a scenario twice in this process; compare behaviour digests.
 
     Returns ``{"deterministic": bool, "digests": [d1, d2]}``.
     """
-    first = run_scenario(scenario, fresh_state=True)
-    second = run_scenario(scenario, fresh_state=True)
+    first = run_scenario(scenario)
+    second = run_scenario(scenario)
     return {"deterministic": first.digest == second.digest,
             "digests": [first.digest, second.digest]}

@@ -137,7 +137,7 @@ def shrink(scenario: Scenario, violation_kind: str,
         return None
 
     current = _clone(scenario)
-    report = run_scenario(current, fresh_state=True)
+    report = run_scenario(current)
     violation = matching(report)
     if violation is None:
         raise SimcheckError(
@@ -150,7 +150,7 @@ def shrink(scenario: Scenario, violation_kind: str,
             if evaluations >= budget:
                 break
             try:
-                candidate_report = run_scenario(candidate, fresh_state=True)
+                candidate_report = run_scenario(candidate)
             except Exception:
                 # A reduction that crashes the runner is not a valid
                 # repro of *this* violation; skip it.
@@ -218,6 +218,6 @@ def replay_artifact(path: str) -> Tuple[SimcheckReport, bool]:
     """Re-run an artifact's scenario; True iff the recorded violation kind
     reproduces."""
     scenario, violation = load_artifact(path)
-    report = run_scenario(scenario, fresh_state=True)
+    report = run_scenario(scenario)
     reproduced = any(v.kind == violation.kind for v in report.violations)
     return report, reproduced

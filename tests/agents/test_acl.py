@@ -30,12 +30,12 @@ def test_add_receiver_validates():
 
 def test_create_reply_threads_conversation():
     request = ACLMessage(Performative.REQUEST, sender="aa@h1",
-                         conversation_id="conv-7", protocol="migration")
-    request.with_reply_id()
+                         conversation_id="conv-7", reply_with="rw-3",
+                         protocol="migration")
     reply = request.create_reply(Performative.AGREE, content="ok")
     assert reply.receivers == ["aa@h1"]
     assert reply.conversation_id == "conv-7"
-    assert reply.in_reply_to == request.reply_with
+    assert reply.in_reply_to == "rw-3"
     assert reply.protocol == "migration"
     assert reply.content == "ok"
 
@@ -43,19 +43,6 @@ def test_create_reply_threads_conversation():
 def test_reply_without_sender_rejected():
     with pytest.raises(ValueError):
         ACLMessage(Performative.INFORM).create_reply(Performative.AGREE)
-
-
-def test_with_reply_id_is_idempotent():
-    msg = ACLMessage(Performative.REQUEST).with_reply_id()
-    first = msg.reply_with
-    msg.with_reply_id()
-    assert msg.reply_with == first
-
-
-def test_reply_ids_unique():
-    a = ACLMessage(Performative.REQUEST).with_reply_id()
-    b = ACLMessage(Performative.REQUEST).with_reply_id()
-    assert a.reply_with != b.reply_with
 
 
 class TestMatches:

@@ -100,13 +100,14 @@ class TestMessaging:
         c1.create_agent(EchoAgent, "echo")
         sender = c1.create_agent(Agent, "s")
         sender.send(ACLMessage(Performative.REQUEST, receivers=["echo@h1"],
-                               content=42).with_reply_id())
+                               content=42, reply_with="q-1"))
         loop.run()
         reply = sender.receive()
         assert reply is not None
         assert reply.performative is Performative.CONFIRM
         assert reply.content == 42
         assert reply.sender == "echo@h1"
+        assert reply.in_reply_to == "q-1"
 
     def test_remote_messaging_pays_network_cost(self, rig):
         loop, net, platform, c1, c2 = rig
@@ -114,7 +115,7 @@ class TestMessaging:
         sender = c1.create_agent(Agent, "s")
         arrival = []
         sender.send(ACLMessage(Performative.REQUEST, receivers=["echo@h2"],
-                               content="x").with_reply_id())
+                               content="x"))
         loop.run()
         reply = sender.receive()
         assert reply is not None
@@ -203,7 +204,6 @@ class TestBehaviours:
         pump = agent.behaviours[0]
         assert pump.blocked
         other = c1.create_agent(Agent, "o")
-        other.send(ACLMessage(Performative.REQUEST,
-                              receivers=["echo@h1"]).with_reply_id())
+        other.send(ACLMessage(Performative.REQUEST, receivers=["echo@h1"]))
         loop.run()
         assert other.queue_size == 1  # echo woke up and replied

@@ -45,7 +45,6 @@ from repro.ontology.reasoner import ForwardChainingReasoner
 from repro.ontology.triples import Graph, Literal
 from repro.registry.records import ResourceRecord
 from repro.registry.registry import RegistryCenter
-from repro.simcheck import reset_global_state
 
 # -- A1: clone-dispatch fan-out (the lecture scenario) ----------------------
 #
@@ -56,7 +55,6 @@ from repro.simcheck import reset_global_state
 
 @pytest.fixture(scope="module")
 def fanout_rows():
-    reset_global_state()
     return [clone_dispatch_experiment(room_count=rooms, carry_full_app=full)
             for rooms in CLONE_FANOUTS for full in (False, True)]
 
@@ -235,7 +233,6 @@ def ratio_at(bandwidth_mbps: float, size_mb: float = 7.5):
 
 @pytest.fixture(scope="module")
 def bandwidth_rows():
-    reset_global_state()
     return [ratio_at(bw) for bw in BANDWIDTH_SWEEP_MBPS]
 
 
@@ -304,7 +301,6 @@ def pipeline_latency(sample_period_ms: float, window_size: int = 3):
 
 @pytest.fixture(scope="module")
 def latency_rows():
-    reset_global_state()
     return [pipeline_latency(period) for period in (100.0, 200.0, 500.0)]
 
 
@@ -335,7 +331,6 @@ def run_cell(kind: MigrationKind, policy: BindingPolicy, gateway: bool):
 
 @pytest.fixture(scope="module")
 def matrix_rows():
-    reset_global_state()
     return [{"mode": kind.value,
              "domain": "inter-space" if gateway else "intra-space",
              "adaptive_ms": run_cell(kind, BindingPolicy.ADAPTIVE, gateway),
@@ -393,7 +388,6 @@ def run_migration(track_bytes: int, prestage: bool):
 
 @pytest.fixture(scope="module")
 def prestage_rows():
-    reset_global_state()
     rows = []
     for size_mb in PAPER_FILE_SIZES_MB:
         cold = run_migration(mb(size_mb), prestage=False)
@@ -464,7 +458,6 @@ def run_with_registry(placement: str):
 
 @pytest.fixture(scope="module")
 def registry_rows():
-    reset_global_state()
     return [run_with_registry(p) for p in REGISTRY_PLACEMENTS]
 
 
@@ -524,7 +517,6 @@ def sweep_cell(loss_rate: float, retries: int):
 
 @pytest.fixture(scope="module")
 def fault_rows():
-    reset_global_state()
     return [sweep_cell(loss, retries)
             for loss in (0.0, 0.05, 0.15, 0.30) for retries in (0, 3)]
 
@@ -600,7 +592,6 @@ def run_influx(strategy: str, users: int = 6, lab_hosts: int = 3):
 
 @pytest.fixture(scope="module")
 def influx_rows():
-    reset_global_state()
     return {strategy: run_influx(strategy)
             for strategy in ("first-fit", "contract-net")}
 
@@ -635,14 +626,12 @@ AVAILABILITY_RUNS = 6
 
 @pytest.fixture(scope="module")
 def hardened_rows():
-    reset_global_state()
     return availability_experiment(AVAILABILITY_LOSS_RATES,
                                    runs=AVAILABILITY_RUNS, reliability=True)
 
 
 @pytest.fixture(scope="module")
 def bare_rows():
-    reset_global_state()
     return availability_experiment(AVAILABILITY_LOSS_RATES,
                                    runs=AVAILABILITY_RUNS, reliability=False)
 
@@ -715,7 +704,6 @@ def test_latency_degrades_gracefully(hardened_rows):
 
 @pytest.fixture(scope="module")
 def two_leg_result():
-    reset_global_state()
     return concurrent_migration_experiment(migrations=2)
 
 
@@ -761,7 +749,6 @@ def test_scale_benchmark_50_hosts_200_apps():
 
 @pytest.fixture(scope="module")
 def window_rows():
-    reset_global_state()
     return transfer_window_experiment((1, 2, 4, 8))
 
 
@@ -795,7 +782,6 @@ def run_city(spaces: int, users: int, seed: int = 11):
 
 @pytest.fixture(scope="module")
 def workload_rows():
-    reset_global_state()
     rows = []
     for spaces, users in ((10, 10), (16, 40), (24, 80)):
         _, result = run_city(spaces, users)

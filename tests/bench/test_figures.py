@@ -13,13 +13,11 @@ import pytest
 from repro.bench.harness import MigrationExperiment, round_trip_experiment
 from repro.city.params import PAPER_FILE_SIZES_MB
 from repro.core import BindingPolicy
-from repro.simcheck import reset_global_state
 
 
 @pytest.fixture(scope="module")
 def sweeps():
     """Both binding policies over the paper's six file sizes, run once."""
-    reset_global_state()  # module fixtures run before the autouse reset
     experiment = MigrationExperiment()
     return (experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.ADAPTIVE),
             experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.STATIC))

@@ -7,7 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.city import CityConfig, CityWorkload
 from repro.obs import Observability
-from repro.simcheck import reset_global_state, trace_digest
+from repro.simcheck import trace_digest
 
 
 class TestCityCommand:
@@ -42,7 +42,6 @@ class TestCityCommand:
 
 def _smoke_city_day():
     """One smoke-tier commuter day: ``(result, simulation digest)``."""
-    reset_global_state()
     obs = Observability(trace=False)
     result = CityWorkload(CityConfig.for_tier("smoke", seed=11),
                           observability=obs).run()

@@ -15,9 +15,6 @@ def tiny_config(**overrides):
 @pytest.fixture(scope="module")
 def tiny_result():
     """One shared tiny-city day (module scope: a run is a full sim)."""
-    from repro.simcheck import reset_global_state
-
-    reset_global_state()
     return CityWorkload(tiny_config()).run()
 
 
@@ -82,9 +79,6 @@ class TestDayOutcome:
 
 class TestDeterminism:
     def test_same_seed_reproduces_both_digests(self, tiny_result):
-        from repro.simcheck import reset_global_state
-
-        reset_global_state()
         again = CityWorkload(tiny_config()).run()
         assert again.trace_digest == tiny_result.trace_digest
         assert again.fleet_digest == tiny_result.fleet_digest

@@ -85,6 +85,26 @@ class TestProtocolPrimitives:
         loop.run()
         assert results == [None]
 
+    def test_conversation_ids_are_drawn_per_platform(self, rig):
+        """An initiator draws its conversation id from its agent's
+        platform when it starts; another platform counts from 1."""
+
+        def initiate(agent):
+            return agent.add_behaviour(ContractNetInitiator(
+                [], "task", "jobs", select=min,
+                on_award=lambda winner, prop: None))
+
+        loop, platform, containers = rig
+        manager = containers["h1"].create_agent(Agent, "manager")
+        first, second = initiate(manager), initiate(manager)
+        assert (first.conversation_id, second.conversation_id) \
+            == ("cnp-1", "cnp-2")
+        network = Network(EventLoop())
+        network.create_host("h1")
+        elsewhere = AgentPlatform(network).create_container("h1") \
+            .create_agent(Agent, "manager")
+        assert initiate(elsewhere).conversation_id == "cnp-1"
+
 
 def contract_net_building(loads=(3, 0)):
     """Office + lab with two lab hosts; lab-a carries `loads[0]` dummy

@@ -9,7 +9,6 @@ from repro.core import Deployment
 from repro.core.application import AppStatus
 from repro.core.pipeline import migration_phases
 from repro.obs import Observability
-from repro.simcheck import reset_global_state
 from repro.simcheck.invariants import InvariantChecker
 
 # The last phase cannot host a failpoint: completing it finishes the
@@ -20,7 +19,6 @@ PRESTAGE_FAILPOINTS = ["admission", "planning", "pack", "transfer",
 
 
 def checked_deployment(seed, track_bytes):
-    reset_global_state()
     obs = Observability()
     d = Deployment(seed=seed, observability=obs)
     d.add_space("lab")

@@ -5,7 +5,6 @@ from repro.bench.harness import MigrationExperiment
 from repro.bench.reporting import format_comparison_table, format_phase_table
 from repro.city.params import PAPER_FILE_SIZES_MB
 from repro.core import BindingPolicy
-from repro.simcheck import reset_global_state
 
 
 class TestCLI:
@@ -43,7 +42,6 @@ def test_cli_sweep(capsys, tmp_path):
     sweep does not move them."""
     assert main(["sweep", "--trace-jsonl", str(tmp_path / "t.jsonl")]) == 0
     out = capsys.readouterr().out
-    reset_global_state()
     experiment = MigrationExperiment()
     adaptive = experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.ADAPTIVE)
     static = experiment.sweep(PAPER_FILE_SIZES_MB, BindingPolicy.STATIC)

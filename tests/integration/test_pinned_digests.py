@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Tuple
 import pytest
 
 from repro.obs import Observability
-from repro.simcheck import behaviour_digest, reset_global_state
+from repro.simcheck import behaviour_digest
 
 PINNED: Dict[str, str] = {
     "scale":
@@ -37,7 +37,6 @@ PINNED: Dict[str, str] = {
 
 
 def _observed() -> Observability:
-    reset_global_state()
     return Observability(trace=False)
 
 
