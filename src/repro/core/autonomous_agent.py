@@ -17,6 +17,7 @@ REQUESTs the mobile agent manager to execute (the Fig. 4 sequence).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -31,6 +32,9 @@ from repro.ontology.triples import Graph, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.middleware import MDAgentMiddleware
+
+#: The ACL protocol of the AA's migration requests to the MA manager.
+MIGRATION_PROTOCOL = "md-migration"
 
 
 @dataclass
@@ -109,10 +113,19 @@ class DecisionEngine:
 
 
 class ContextPump(CyclicBehaviour):
-    """The autonomous agent's inbox: context events in INFORM messages."""
+    """The autonomous agent's inbox: context events in INFORM messages.
+
+    It also takes the mobile agent manager's replies to the agent's
+    migration requests, all of them before the next event, so a reply
+    never costs the agent an extra step.
+    """
 
     def action(self):
         agent = self.agent
+        reply = agent.receive(protocol=MIGRATION_PROTOCOL)
+        while reply is not None:
+            agent.migration_replies[reply.performative] += 1
+            reply = agent.receive(protocol=MIGRATION_PROTOCOL)
         message = agent.receive(performative=Performative.INFORM)
         if message is None:
             self.block()
@@ -143,6 +156,9 @@ class MDAutonomousAgent(Agent):
         self.engine: Optional[DecisionEngine] = None
         self.decisions: List[Decision] = []
         self.migrations_requested = 0
+        #: The MA manager's replies to those requests, by performative
+        #: (AGREE, REFUSE or FAILURE).
+        self.migration_replies: Counter = Counter()
 
     def attach(self, middleware: "MDAgentMiddleware") -> None:
         self.middleware = middleware
@@ -286,7 +302,7 @@ class MDAutonomousAgent(Agent):
                 "policy": BindingPolicy.ADAPTIVE.value,
                 "carry_policy": decision.carry_policy,
             },
-            protocol="md-migration",
+            protocol=MIGRATION_PROTOCOL,
         )
         self.send(request)
 
@@ -297,7 +313,7 @@ class RequestPump(CyclicBehaviour):
     def action(self):
         agent = self.agent
         message = agent.receive(performative=Performative.REQUEST,
-                                protocol="md-migration")
+                                protocol=MIGRATION_PROTOCOL)
         if message is None:
             self.block()
             return

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.agents.acl import ACLMessage, Performative
 from repro.apps.music_player import MusicPlayerApp
 from repro.core import Deployment, UserProfile
 from repro.core.application import AppStatus
+from repro.core.autonomous_agent import MIGRATION_PROTOCOL
 
 
 def smart_building(response_rtt_default=10.0):
@@ -107,6 +109,34 @@ class TestAutonomousMigration:
         d.announce_location("alice", "lab", previous="office")
         d.run_all()
         assert office_pc.mam.requests_handled == 1
+
+
+class TestMigrationReplies:
+    """The MA manager answers every migration REQUEST with AGREE, REFUSE
+    or FAILURE; the autonomous agent takes each answer off its queue."""
+
+    def test_a_building_day_leaves_no_reply_queued(self):
+        from tests.integration.building import run_building_day
+
+        d = run_building_day()
+        requested = 0
+        for middleware in d.middlewares.values():
+            aa = middleware.aa
+            assert aa.queue_size == 0
+            assert sum(aa.migration_replies.values()) \
+                == aa.migrations_requested
+            requested += aa.migrations_requested
+        assert requested == 89
+
+    def test_a_refusal_is_counted(self):
+        d, office_pc, _ = smart_building()
+        d.run_all()
+        office_pc.aa.send(ACLMessage(
+            Performative.REQUEST, receivers=[office_pc.ma_manager_aid],
+            content={"action": "dance"}, protocol=MIGRATION_PROTOCOL))
+        d.run_all()
+        assert office_pc.aa.queue_size == 0
+        assert office_pc.aa.migration_replies == {Performative.REFUSE: 1}
 
 
 class TestSensorDrivenEndToEnd:
