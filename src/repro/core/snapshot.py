@@ -3,16 +3,15 @@
 "Before and after migration, application states should be consistent and
 continual, so a state manager component should be provided" (paper §3.1).
 The snapshot manager captures (coordinator shared state + app custom state +
-component versions) into a plain-data :class:`Snapshot`, keeps a bounded
-history, and can restore any snapshot into a compatible application
-instance.
+component versions) into a plain-data :class:`Snapshot` and can restore any
+snapshot into a compatible application instance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.agents.serialization import deep_size_bytes
 from repro.core.application import Application
@@ -56,14 +55,10 @@ class Snapshot:
 
 
 class SnapshotManager:
-    """Captures and restores application snapshots; bounded history."""
+    """Captures and restores application snapshots."""
 
-    def __init__(self, max_history: int = 16):
-        if max_history < 1:
-            raise SnapshotError("max_history must be >= 1")
-        self.max_history = max_history
+    def __init__(self):
         self._ids = itertools.count(1)
-        self._history: Dict[str, List[Snapshot]] = {}
         self.captures = 0
         self.restores = 0
 
@@ -81,10 +76,6 @@ class SnapshotManager:
         except Exception as exc:
             raise SnapshotError(
                 f"cannot capture snapshot of {app.name!r}: {exc}") from exc
-        history = self._history.setdefault(app.name, [])
-        history.append(snapshot)
-        if len(history) > self.max_history:
-            del history[0]
         self.captures += 1
         return snapshot
 
@@ -97,13 +88,3 @@ class SnapshotManager:
         app.coordinator.restore_state(snapshot.coordinator_state)
         app.restore_app_state(dict(snapshot.app_state))
         self.restores += 1
-
-    def latest(self, app_name: str) -> Optional[Snapshot]:
-        history = self._history.get(app_name)
-        return history[-1] if history else None
-
-    def history(self, app_name: str) -> List[Snapshot]:
-        return list(self._history.get(app_name, ()))
-
-    def forget(self, app_name: str) -> None:
-        self._history.pop(app_name, None)

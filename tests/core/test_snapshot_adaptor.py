@@ -39,25 +39,6 @@ class TestSnapshotManager:
         big = manager.capture(EditorApp.build("ed", "a", "x" * 10_000))
         assert big.size_bytes - small.size_bytes == 9_999
 
-    def test_history_bounded(self):
-        manager = SnapshotManager(max_history=3)
-        app = EditorApp.build("ed", "alice")
-        snapshots = [manager.capture(app, now=float(i)) for i in range(5)]
-        history = manager.history("ed")
-        assert len(history) == 3
-        assert history[-1] is snapshots[-1]
-        assert manager.latest("ed") is snapshots[-1]
-
-    def test_latest_unknown_app(self):
-        assert SnapshotManager().latest("ghost") is None
-
-    def test_forget(self):
-        manager = SnapshotManager()
-        app = EditorApp.build("ed", "alice")
-        manager.capture(app)
-        manager.forget("ed")
-        assert manager.history("ed") == []
-
     def test_roundtrip_dict(self):
         manager = SnapshotManager()
         app = EditorApp.build("ed", "alice", "text")
@@ -72,10 +53,6 @@ class TestSnapshotManager:
         app.component("editor-logic").touch()
         snapshot = manager.capture(app)
         assert snapshot.component_versions["editor-logic"] == 2
-
-    def test_validation(self):
-        with pytest.raises(SnapshotError):
-            SnapshotManager(max_history=0)
 
 
 class TestAdaptor:
