@@ -30,13 +30,12 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.agents.acl import ACLMessage
 from repro.agents.agent import Agent, AgentError, AgentState
+from repro.agents.platform import TRANSFER_PROTOCOL
 from repro.agents.serialization import AgentSnapshot
 from repro.net.simnet import HostOfflineError, UnreachableHostError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agents.platform import AgentContainer, AgentPlatform
-
-TRANSFER_PROTOCOL = "agents.transfer"
 
 #: Network errors worth retrying: a crashed host may restart, a partition
 #: may heal.  Anything else (bad payload, unknown host) fails fast.
@@ -448,26 +447,8 @@ class MobilityService:
         sizes = transfer.chunk_sizes
         base = transfer.next_to_send
         count = min(window - transfer.in_flight, len(sizes) - base)
-        epoch = transfer.epoch
-        chunks = []
-        for seq in range(base, base + count):
-            final = seq == len(sizes) - 1
-            payload = ("chunk", transfer.transfer_id, seq, len(sizes),
-                       (transfer.snapshot, transfer.carried, transfer.kind,
-                        result) if final else None)
-
-            def on_delivered(receipt, seq=seq, epoch=epoch):
-                self._chunk_acked(transfer, seq, epoch, receipt)
-
-            def on_dropped(receipt, epoch=epoch):
-                self.transfers_dropped += 1
-                if (epoch != transfer.epoch or result.failed
-                        or result.completed):
-                    return  # a newer window round already took over
-                self._chunk_lost(transfer, "lost in transit",
-                                 lost_phase=True)
-
-            chunks.append((payload, sizes[seq], on_delivered, on_dropped))
+        chunks = [self._chunk(transfer, seq)
+                  for seq in range(base, base + count)]
         try:
             receipts = self.platform.network.send_window(
                 transfer.container.host_name, result.destination,
@@ -493,6 +474,33 @@ class MobilityService:
                 occupancy.observe(depth)
         self._emit_window(transfer, window)
         return True
+
+    def _chunk(self, transfer: _Transfer, seq: int) -> tuple:
+        """Chunk ``seq`` as ``(payload, size, on_delivered, on_dropped)``.
+
+        Only the final chunk carries the agent.  Both callbacks are bound
+        to the transfer's current epoch, so a superseded round's acks and
+        drops are ignored.
+        """
+        result = transfer.result
+        sizes = transfer.chunk_sizes
+        final = seq == len(sizes) - 1
+        payload = ("chunk", transfer.transfer_id, seq, len(sizes),
+                   (transfer.snapshot, transfer.carried, transfer.kind,
+                    result) if final else None)
+        epoch = transfer.epoch
+
+        def on_delivered(receipt):
+            self._chunk_acked(transfer, seq, epoch, receipt)
+
+        def on_dropped(receipt):
+            self.transfers_dropped += 1
+            if (epoch != transfer.epoch or result.failed
+                    or result.completed):
+                return  # a newer window round already took over
+            self._chunk_lost(transfer, "lost in transit", lost_phase=True)
+
+        return payload, sizes[seq], on_delivered, on_dropped
 
     def _emit_window(self, transfer: _Transfer, window: int) -> None:
         """Publish the window cursors to obs hooks (invariant checkers).
@@ -524,26 +532,12 @@ class MobilityService:
             attrs["window"] = window
             attrs["in_flight"] = transfer.in_flight
         result.next_span("agent.transfer", transfer.container.host, **attrs)
-        final = seq == len(sizes) - 1
-        payload = ("chunk", transfer.transfer_id, seq, len(sizes),
-                   (transfer.snapshot, transfer.carried, transfer.kind,
-                    result) if final else None)
+        payload, size, on_delivered, on_dropped = self._chunk(transfer, seq)
         epoch = transfer.epoch
-
-        def on_delivered(receipt, seq=seq, epoch=epoch):
-            self._chunk_acked(transfer, seq, epoch, receipt)
-
-        def on_dropped(receipt, epoch=epoch):
-            self.transfers_dropped += 1
-            if (epoch != transfer.epoch or result.failed
-                    or result.completed):
-                return  # a newer window round already took over
-            self._chunk_lost(transfer, "lost in transit", lost_phase=True)
-
         try:
             self.platform.network.send(
                 transfer.container.host_name, result.destination,
-                TRANSFER_PROTOCOL, payload, sizes[seq],
+                TRANSFER_PROTOCOL, payload, size,
                 on_delivered=on_delivered, on_dropped=on_dropped)
         except RETRYABLE_SEND_ERRORS as exc:
             transfer.last_error = str(exc)

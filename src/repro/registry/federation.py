@@ -37,7 +37,7 @@ from repro.net.simnet import Message, Network
 from repro.ontology.matching import SUBSTITUTABLE, UNSUBSTITUTABLE
 from repro.registry.registry import (
     READ_OPERATIONS, REGISTRY_PROTOCOL, WRITE_OPERATIONS, _REQUEST_SIZE,
-    _RESPONSE_SIZE, RegistryCenter, RegistryClient, RegistryError,
+    _RESPONSE_SIZE, RegistryCenter, RegistryClient, RegistryError, cache_key,
     count_registry_message, count_registry_request, emit_registry_event,
     observe_lookup_latency)
 
@@ -111,10 +111,6 @@ def merge_results(operation: str, args: Dict[str, Any],
             merged_info.update(part)
         return {rid: merged_info[rid] for rid in sorted(merged_info)}
     raise RegistryError(f"operation {operation!r} cannot be merged")
-
-
-def cache_key(operation: str, args: Dict[str, Any]) -> str:
-    return repr((operation, sorted(args.items(), key=lambda kv: kv[0])))
 
 
 class RegistryShard(RegistryCenter):

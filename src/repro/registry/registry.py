@@ -45,6 +45,11 @@ class RegistryError(RuntimeError):
     """Raised on invalid registry operations."""
 
 
+def cache_key(operation: str, args: Dict[str, Any]) -> str:
+    """The read-cache key of one call: independent of argument order."""
+    return repr((operation, sorted(args.items(), key=lambda kv: kv[0])))
+
+
 # -- telemetry (recorded whenever a hub is attached) --------------------------
 
 def count_registry_message(network: Network, source: str,
@@ -454,10 +459,6 @@ class CachingRegistryClient(RegistryClient):
         self.cache_hits = 0
         self.cache_misses = 0
 
-    @staticmethod
-    def _key(operation: str, args: Dict[str, Any]) -> str:
-        return repr((operation, sorted(args.items(), key=lambda kv: kv[0])))
-
     def call(self, operation: str, args: Dict[str, Any],
              callback: Callable[[Any, Optional[str]], None]) -> None:
         loop = self.network.loop
@@ -465,7 +466,7 @@ class CachingRegistryClient(RegistryClient):
             self._cache.clear()  # writes invalidate everything
             super().call(operation, args, callback)
             return
-        key = self._key(operation, args)
+        key = cache_key(operation, args)
         cached = self._cache.get(key)
         if cached is not None and cached[0] > loop.now:
             self.cache_hits += 1
