@@ -41,30 +41,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: may heal.  Anything else (bad payload, unknown host) fails fast.
 RETRYABLE_SEND_ERRORS = (HostOfflineError, UnreachableHostError)
 
+# CPU cost of (de)serialization, scaled by each host's cpu_factor and
+# calibrated so the two-PC / 10 Mbps testbed of the paper lands in the
+# right regime: tens of ms of fixed agent overhead plus a size-proportional
+# term.
+CHECKOUT_BASE_MS = 60.0
+SERIALIZE_MS_PER_MB = 40.0
+CHECKIN_BASE_MS = 100.0
+DESERIALIZE_MS_PER_MB = 60.0
+#: Exponential retry backoff: retry ``n`` (0-based) waits
+#: ``min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS * 2**n)`` plus a seeded
+#: jitter of up to ``RETRY_JITTER_FRAC`` of that delay.
+RETRY_BACKOFF_MS = 50.0
+RETRY_BACKOFF_CAP_MS = 2_000.0
+RETRY_JITTER_FRAC = 0.1
+
 
 @dataclass
 class CostModel:
-    """CPU cost of (de)serialization, scaled by each host's cpu_factor.
+    """The platform's transfer policy and (de)serialization costs.
 
-    Defaults are calibrated so the two-PC / 10 Mbps testbed of the paper
-    lands in the right regime: tens of ms of fixed agent overhead plus a
-    size-proportional term.
+    The costs are the module constants above; the fields are the
+    transfer-policy values a fault configuration sets.
     """
 
-    checkout_base_ms: float = 60.0
-    serialize_ms_per_mb: float = 40.0
-    checkin_base_ms: float = 100.0
-    deserialize_ms_per_mb: float = 60.0
     #: Per-chunk transfer retries before the migration is declared failed.
     max_transfer_retries: int = 3
-    #: Base of the exponential retry backoff: retry ``n`` (0-based) waits
-    #: ``min(cap, base * 2**n)`` plus deterministic jitter.
-    retry_backoff_ms: float = 50.0
-    retry_backoff_cap_ms: float = 2_000.0
-    #: Jitter fraction added on top of the backoff (decorrelates retries).
-    #: The jitter is *seeded*: the same (seed, key, attempt) always yields
-    #: the same delay, keeping runs reproducible.
-    retry_jitter_frac: float = 0.1
+    #: Seeds the backoff jitter: the same (seed, key, attempt) always
+    #: yields the same delay, keeping runs reproducible.
     backoff_seed: int = 0
     #: Overall wall-clock (simulated) budget for one migration, measured
     #: from ``move()``; retries never push past it.  0 disables.
@@ -96,23 +100,20 @@ class CostModel:
 
     def checkout_ms(self, size_bytes: int, cpu_factor: float) -> float:
         mb = size_bytes / 1e6
-        return (self.checkout_base_ms + self.serialize_ms_per_mb * mb) * cpu_factor
+        return (CHECKOUT_BASE_MS + SERIALIZE_MS_PER_MB * mb) * cpu_factor
 
     def checkin_ms(self, size_bytes: int, cpu_factor: float) -> float:
         mb = size_bytes / 1e6
-        return (self.checkin_base_ms + self.deserialize_ms_per_mb * mb) * cpu_factor
+        return (CHECKIN_BASE_MS + DESERIALIZE_MS_PER_MB * mb) * cpu_factor
 
     def backoff_ms(self, attempt: int, key: str = "") -> float:
         """Delay before retry ``attempt`` (0-based): exponential, capped,
         with deterministic seeded jitter."""
-        delay = min(self.retry_backoff_cap_ms,
-                    self.retry_backoff_ms * (2 ** attempt))
-        if self.retry_jitter_frac > 0:
-            # random.Random seeds strings via SHA-512: stable across runs
-            # and interpreter instances (unlike hash()).
-            rng = random.Random(f"{self.backoff_seed}:{key}:{attempt}")
-            delay += delay * self.retry_jitter_frac * rng.random()
-        return delay
+        delay = min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS * (2 ** attempt))
+        # random.Random seeds strings via SHA-512: stable across runs and
+        # interpreter instances (unlike hash()).
+        rng = random.Random(f"{self.backoff_seed}:{key}:{attempt}")
+        return delay + delay * RETRY_JITTER_FRAC * rng.random()
 
     def chunk_sizes(self, size_bytes: int) -> List[int]:
         """Wire chunks for a payload (a single chunk when chunking is off).

@@ -16,7 +16,6 @@ REQUESTs the mobile agent manager to execute (the Fig. 4 sequence).
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -58,18 +57,14 @@ class DecisionEngine:
     """Evaluates the migration rules over situation facts.
 
     ``rules`` is a rule set or a zero-argument function returning one
-    (default: the migration rules at ``response_time_threshold_ms``).  A
-    function runs once, when the engine first needs the rules, so an
-    engine that never evaluates parses nothing.
+    (default: :func:`default_migration_rules`).  A function runs once,
+    when the engine first needs the rules, so an engine that never
+    evaluates parses nothing.
     """
 
     def __init__(self,
-                 rules: Union[RuleSet, Callable[[], RuleSet], None] = None,
-                 response_time_threshold_ms: float = 1000.0):
-        if rules is None:
-            rules = functools.partial(default_migration_rules,
-                                      response_time_threshold_ms)
-        self._rules = rules
+                 rules: Union[RuleSet, Callable[[], RuleSet], None] = None):
+        self._rules = default_migration_rules if rules is None else rules
         self.evaluations = 0
 
     @property

@@ -24,6 +24,11 @@ from repro.core.application import Application
 from repro.core.components import ComponentKind
 from repro.core.errors import MigrationError
 
+#: Adaptive binding's carry-vs-stream cutoff: data up to this size is
+#: carried even when absent at the destination; larger data stays remote
+#: under a follow-me move.
+DATA_CARRY_THRESHOLD_BYTES = 512_000
+
 
 class MigrationKind(enum.Enum):
     """Fig. 1's mobility-mode axis."""
@@ -87,11 +92,6 @@ class MigrationPlan:
 class BindingResolver:
     """Builds migration plans from destination inventory information."""
 
-    def __init__(self, data_carry_threshold_bytes: int = 512_000):
-        #: Data components up to this size are carried even when absent at
-        #: the destination; larger ones bind remotely under ADAPTIVE.
-        self.data_carry_threshold_bytes = int(data_carry_threshold_bytes)
-
     def plan(self, app: Application, source: str, destination: str,
              destination_components: List[str],
              resource_matches: Optional[Dict[str, Optional[str]]] = None,
@@ -122,7 +122,7 @@ class BindingResolver:
             if component.kind.value in dest_kinds:
                 plan.reuse_components.append(component.name)
             elif (component.kind is ComponentKind.DATA
-                    and component.size_bytes > self.data_carry_threshold_bytes
+                    and component.size_bytes > DATA_CARRY_THRESHOLD_BYTES
                     and kind is MigrationKind.FOLLOW_ME):
                 # Follow-me can stream from the stopped source copy; a
                 # clone-dispatch replica needs its own data (the paper's MAs

@@ -63,7 +63,6 @@ from repro.net.topology import LinkSpec, Topology
 from repro.ontology.rules import RuleSet
 from repro.registry.records import ApplicationRecord, InterfaceDescription, Operation
 from repro.registry.registry import (
-    CachingRegistryClient,
     RegistryClient,
     RegistryServer,
     install_registry,
@@ -80,6 +79,9 @@ PROBE_DEFAULT_RTT_MS = 10.0
 #: every host speaks.
 PLATFORM_KIND = "mdagent"
 SERIALIZATION_VERSION = 1
+#: Remote-data fetch attempts (with the platform cost model's seeded
+#: backoff between them) before the failure is reported to the caller.
+REMOTE_FETCH_ATTEMPTS = 3
 # Remote-data streaming moves multi-MB payloads: classify it as bulk so it
 # fair-shares links with agent transfers instead of head-of-line blocking
 # sync/ACL control traffic (md.sync stays control).
@@ -90,30 +92,17 @@ register_bulk_protocol(DATA_PROTOCOL)
 class MiddlewareConfig:
     """Tunables for one middleware instance."""
 
-    #: Rule 3's network threshold: migrate only when RTT is below this.
-    response_time_threshold_ms: float = 1000.0
-    #: Adaptive binding: data up to this size is carried, larger stays
-    #: remote when absent at the destination.
-    data_carry_threshold_bytes: int = 512_000
     #: How autonomous agents pick among several compatible destination
     #: hosts: "first-fit" (deterministic order) or "contract-net" (CFP to
     #: every candidate's MA manager, award to the least-loaded bidder).
     destination_strategy: str = "first-fit"
-    #: TTL of the middleware's registry read cache; 0 disables caching
-    #: (every planning lookup pays the round trip).
-    registry_cache_ttl_ms: float = 0.0
     #: Migration protocol: "direct" (classic homogeneous deployment, the
     #: capability grant is implicit and free) or "fipa" (pre-transfer
     #: propose/accept-proposal/reject-proposal negotiation over ACL).
     migration_protocol: str = "direct"
-    #: Deadline for one FIPA negotiation round trip.
-    negotiation_timeout_ms: float = 5_000.0
     #: Per-attempt deadline on remote-data fetches; 0 (the default) keeps
     #: the classic no-deadline behaviour.
     remote_fetch_timeout_ms: float = 0.0
-    #: Fetch attempts (with the platform cost model's seeded backoff)
-    #: before the failure is reported to the caller.
-    remote_fetch_retries: int = 3
 
 
 class MDAgentMiddleware:
@@ -142,16 +131,12 @@ class MDAgentMiddleware:
         self.applications: Dict[str, Application] = {}
         self.snapshot_manager = SnapshotManager()
         self.adaptor = Adaptor()
-        self.resolver = BindingResolver(self.config.data_carry_threshold_bytes)
+        self.resolver = BindingResolver()
         # Per-instance so identical deployments produce identical agent
         # names (and therefore bit-identical wire sizes).
         self._ma_seq = itertools.count(1)
         if deployment.federation is not None:
             self.registry_client = deployment.federation.client_for(host.name)
-        elif self.config.registry_cache_ttl_ms > 0:
-            self.registry_client = CachingRegistryClient(
-                deployment.network, host.name, deployment.registry_host,
-                cache_ttl_ms=self.config.registry_cache_ttl_ms)
         else:
             self.registry_client = RegistryClient(
                 deployment.network, host.name, deployment.registry_host)
@@ -464,9 +449,9 @@ class MDAgentMiddleware:
         armed with a deadline: a crashed or partitioned source no longer
         hangs the destination's resume forever.  Timed-out attempts retry
         with the platform cost model's seeded backoff, and after
-        ``remote_fetch_retries`` attempts the failure is reported through
-        ``on_failed`` (or dropped with a fault emit when no handler was
-        given).
+        :data:`REMOTE_FETCH_ATTEMPTS` attempts the failure is reported
+        through ``on_failed`` (or dropped with a fault emit when no handler
+        was given).
         """
         if nbytes <= 0 or source_host == self.host_name:
             self.loop.call_soon(callback)
@@ -512,7 +497,7 @@ class MDAgentMiddleware:
         source = request["source"]
         self._emit_fault("fetch-timeout", token=token, source=source,
                          attempt=request["attempt"])
-        if request["attempt"] >= max(1, self.config.remote_fetch_retries):
+        if request["attempt"] >= REMOTE_FETCH_ATTEMPTS:
             self._fetch_fail(
                 token, f"remote fetch from {source} timed out after "
                        f"{request['attempt']} attempts")
@@ -847,9 +832,6 @@ class Deployment:
             if e.get("location") else None)
         self.sensors: Optional[CricketSensorNetwork] = None
         self.config = config if config is not None else MiddlewareConfig()
-        # The threshold the migration rules are parsed with, bound now:
-        # the config may be edited after construction.
-        self._rules_threshold_ms = self.config.response_time_threshold_ms
         self.middlewares: Dict[str, MDAgentMiddleware] = {}
         self.device_profiles: Dict[str, DeviceProfile] = {}
         self.registry_server: Optional[RegistryServer] = None
@@ -875,7 +857,7 @@ class Deployment:
         reasoner only iterates the rules, so the hosts can share them);
         most deployments never evaluate and parse nothing.
         """
-        return default_migration_rules(self._rules_threshold_ms)
+        return default_migration_rules()
 
     def _arm_chaos(self, trigger: str) -> None:
         if self.chaos is not None and self.chaos.config.arm == trigger:

@@ -58,6 +58,8 @@ from repro.core.mobile_agent import MDMobileAgent
 
 #: ACL protocol of the FIPA capability-negotiation exchange.
 CAPABILITY_PROTOCOL = "md-capability"
+#: Deadline for one FIPA negotiation round trip.
+NEGOTIATION_TIMEOUT_MS = 5_000.0
 
 
 # Cost constants of the application-level migration phases, calibrated
@@ -562,7 +564,7 @@ class FipaNegotiationPhase(MiddlewarePhase):
             responder_aid, proposal, CAPABILITY_PROTOCOL,
             on_accept=on_accept, on_reject=on_reject,
             on_timeout=on_timeout,
-            timeout_ms=middleware.config.negotiation_timeout_ms,
+            timeout_ms=NEGOTIATION_TIMEOUT_MS,
             name=f"negotiate-{plan.app_name}"))
 
 

@@ -10,12 +10,16 @@ The three published rules, verbatim in structure:
 
 :func:`default_migration_rules` generalizes Rule 2 to any resource class
 (the compatibility facts themselves come from the semantic matcher) and
-parameterizes Rule 3's threshold.
+keeps Rule 3's threshold, :data:`RESPONSE_TIME_THRESHOLD_MS`.
 """
 
 from __future__ import annotations
 
 from repro.ontology.rules import RuleSet, parse_rules
+
+#: Rule 3's network gate: migrate only when the probed response time is
+#: below this (Fig. 6's literal ``lessThan(?t, '1000')``).
+RESPONSE_TIME_THRESHOLD_MS = 1000.0
 
 #: The paper's rules exactly as printed (Fig. 6), printer-specific Rule 2.
 PAPER_FIG6_RULES = """
@@ -37,8 +41,7 @@ def paper_rules() -> RuleSet:
     return parse_rules(PAPER_FIG6_RULES)
 
 
-def default_migration_rules(response_time_threshold_ms: float = 1000.0
-                            ) -> RuleSet:
+def default_migration_rules() -> RuleSet:
     """The rule set autonomous agents evaluate before commanding a move.
 
     Facts the decision engine asserts:
@@ -63,7 +66,7 @@ def default_migration_rules(response_time_threshold_ms: float = 1000.0
 [Move: (?src imcl:address ?value1), (?dest imcl:address ?value2),
        (?dest imcl:deviceCompatible 'true'^^xsd:boolean),
        (?net imcl:responseTime ?t),
-       lessThan(?t, '{response_time_threshold_ms}'^^xsd:double)
+       lessThan(?t, '{RESPONSE_TIME_THRESHOLD_MS}'^^xsd:double)
     -> (?action imcl:actName 'move'), (?action imcl:srcAddress ?value1),
        (?action imcl:destAddress ?value2)]
 [CarryAll: (?dest imcl:address ?value2),

@@ -36,8 +36,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.net.simnet import Message, Network
 from repro.ontology.matching import SUBSTITUTABLE, UNSUBSTITUTABLE
 from repro.registry.registry import (
-    READ_OPERATIONS, REGISTRY_PROTOCOL, WRITE_OPERATIONS, _REQUEST_SIZE,
-    _RESPONSE_SIZE, RegistryCenter, RegistryClient, RegistryError, cache_key,
+    READ_OPERATIONS, REGISTRY_PROCESSING_MS, REGISTRY_PROTOCOL,
+    REGISTRY_TIMEOUT_MS, WRITE_OPERATIONS, _REQUEST_SIZE, _RESPONSE_SIZE,
+    RegistryCenter, RegistryClient, RegistryError, cache_key,
     count_registry_message, count_registry_request, emit_registry_event,
     observe_lookup_latency)
 
@@ -341,12 +342,10 @@ class FederationNode:
     reads, guarded by the same coherence tokens as client caches.
     """
 
-    def __init__(self, federation: "RegistryFederation", host_name: str,
-                 processing_delay_ms: float = 2.0):
+    def __init__(self, federation: "RegistryFederation", host_name: str):
         self.federation = federation
         self.network: Network = federation.network
         self.host_name = host_name
-        self.processing_delay_ms = float(processing_delay_ms)
         self.shards: Dict[str, RegistryShard] = {}
         self.aggregator = False
         self.requests_served = 0
@@ -365,7 +364,7 @@ class FederationNode:
         kind = message.payload[0]
         if kind == "request":
             _, request_id, operation, args = message.payload
-            self.network.loop.call_later(self.processing_delay_ms,
+            self.network.loop.call_later(REGISTRY_PROCESSING_MS,
                                          self._serve, message.source,
                                          request_id, operation, dict(args))
             return
@@ -512,7 +511,7 @@ class FederationNode:
                 continue
             count_registry_message(self.network, self.host_name, host)
             batch.timers[sub_id] = loop.call_later(
-                federation.timeout_ms, self._sub_timeout, sub_id)
+                REGISTRY_TIMEOUT_MS, self._sub_timeout, sub_id)
         self._maybe_finish(batch)
 
     def _sub_timeout(self, sub_id: int) -> None:
@@ -587,9 +586,9 @@ class FederatedRegistryClient(RegistryClient):
 
     def __init__(self, network: Network, host_name: str,
                  federation: "RegistryFederation",
-                 timeout_ms: float = 5_000.0, cache_ttl_ms: float = 2_000.0):
+                 cache_ttl_ms: float = 2_000.0):
         server = federation.fallback_host or host_name
-        super().__init__(network, host_name, server, timeout_ms)
+        super().__init__(network, host_name, server)
         self.federation = federation
         self.cache_ttl_ms = float(cache_ttl_ms)
         # key -> (expires_at, token, value)
@@ -717,15 +716,11 @@ class RegistryFederation:
     per middleware host.
     """
 
-    def __init__(self, deployment, cache_ttl_ms: float = 2_000.0,
-                 timeout_ms: float = 5_000.0,
-                 processing_delay_ms: float = 2.0):
+    def __init__(self, deployment, cache_ttl_ms: float = 2_000.0):
         self.deployment = deployment
         self.network: Network = deployment.network
         self.loop = deployment.loop
         self.cache_ttl_ms = float(cache_ttl_ms)
-        self.timeout_ms = float(timeout_ms)
-        self.processing_delay_ms = float(processing_delay_ms)
         self.auto_shards = True
         self.nodes: Dict[str, FederationNode] = {}
         self.shards: Dict[str, RegistryShard] = {}
@@ -748,14 +743,10 @@ class RegistryFederation:
 
     # -- installation --------------------------------------------------------
 
-    def node_for(self, host_name: str,
-                 processing_delay_ms: Optional[float] = None
-                 ) -> FederationNode:
+    def node_for(self, host_name: str) -> FederationNode:
         node = self.nodes.get(host_name)
         if node is None:
-            delay = (self.processing_delay_ms if processing_delay_ms is None
-                     else processing_delay_ms)
-            node = FederationNode(self, host_name, delay)
+            node = FederationNode(self, host_name)
             self.nodes[host_name] = node
         return node
 
@@ -768,26 +759,23 @@ class RegistryFederation:
         self._install(":fallback:", "", host_name)
         return self.nodes[host_name]
 
-    def install_shard(self, space: str, host_name: str,
-                      processing_delay_ms: Optional[float] = None
-                      ) -> RegistryShard:
+    def install_shard(self, space: str, host_name: str) -> RegistryShard:
         if not space:
             raise RegistryError("space name must be non-empty "
                                 "(the fallback shard owns '')")
-        shard = self._install(space, space, host_name, processing_delay_ms)
+        shard = self._install(space, space, host_name)
         if self.default_aggregator is None:
             self.install_aggregator(host_name)
         return shard
 
-    def _install(self, label: str, space: str, host_name: str,
-                 processing_delay_ms: Optional[float] = None
-                 ) -> RegistryShard:
+    def _install(self, label: str, space: str,
+                 host_name: str) -> RegistryShard:
         if space in self.shards:
             raise RegistryError(f"space {label!r} already has a shard")
         shard = RegistryShard(space)
         shard.on_write = self._on_shard_write
         shard.on_lease_expired = self._on_lease_expired
-        node = self.node_for(host_name, processing_delay_ms)
+        node = self.node_for(host_name)
         node.shards[space] = shard
         self.shards[space] = shard
         self.shard_hosts[space] = host_name
@@ -814,7 +802,7 @@ class RegistryFederation:
         client = self.clients.get(host_name)
         if client is None:
             client = FederatedRegistryClient(
-                self.network, host_name, self, timeout_ms=self.timeout_ms,
+                self.network, host_name, self,
                 cache_ttl_ms=self.cache_ttl_ms)
             self.clients[host_name] = client
         return client

@@ -28,6 +28,11 @@ REGISTRY_PROTOCOL = "registry.rpc"
 #: Approximate wire size of a registry request/response.
 _REQUEST_SIZE = 512
 _RESPONSE_SIZE = 2048
+#: How long a client (or a federation node fanning out) waits for an
+#: answer before it reports the call as failed.
+REGISTRY_TIMEOUT_MS = 5_000.0
+#: Service time of one request at a registry server or federation node.
+REGISTRY_PROCESSING_MS = 2.0
 
 #: The RPC read surface (cacheable) and write surface (invalidating).
 READ_OPERATIONS = frozenset({
@@ -284,12 +289,10 @@ class RegistryServer:
     """Hosts a RegistryCenter on a network host and answers RPCs."""
 
     def __init__(self, network: Network, host_name: str,
-                 center: Optional[RegistryCenter] = None,
-                 processing_delay_ms: float = 2.0):
+                 center: Optional[RegistryCenter] = None):
         self.network = network
         self.host_name = host_name
         self.center = center if center is not None else RegistryCenter()
-        self.processing_delay_ms = float(processing_delay_ms)
         self.requests_served = 0
         network.host(host_name).register_handler(REGISTRY_PROTOCOL,
                                                  self._on_request)
@@ -301,7 +304,7 @@ class RegistryServer:
             if client is not None:
                 client._on_response(message)
             return
-        self.network.loop.call_later(self.processing_delay_ms, self._serve,
+        self.network.loop.call_later(REGISTRY_PROCESSING_MS, self._serve,
                                      message.source, request_id, operation,
                                      args)
 
@@ -327,16 +330,15 @@ class RegistryClient:
     Each ``call`` pays a request + response trip over the simulated network
     plus the server's processing delay; the callback receives
     ``(result, error)``.  Unreachable/crashed servers and lost messages
-    surface as an error through the callback (after ``timeout_ms`` for
-    silent losses) -- a registry outage must never hang or crash a caller.
+    surface as an error through the callback (after
+    :data:`REGISTRY_TIMEOUT_MS` for silent losses) -- a registry outage
+    must never hang or crash a caller.
     """
 
-    def __init__(self, network: Network, host_name: str, server_host: str,
-                 timeout_ms: float = 5_000.0):
+    def __init__(self, network: Network, host_name: str, server_host: str):
         self.network = network
         self.host_name = host_name
         self.server_host = server_host
-        self.timeout_ms = float(timeout_ms)
         self._pending: Dict[int, Callable[[Any, Optional[str]], None]] = {}
         self._timers: Dict[int, Any] = {}
         self._operations: Dict[int, str] = {}
@@ -400,7 +402,7 @@ class RegistryClient:
             self._fail(request_id, f"registry unreachable: {exc}")
             return
         count_registry_message(self.network, self.host_name, target)
-        self._timers[request_id] = loop.call_later(self.timeout_ms,
+        self._timers[request_id] = loop.call_later(REGISTRY_TIMEOUT_MS,
                                                    self._timeout, request_id)
 
     def _cancel_timer(self, request_id: int) -> None:
@@ -421,7 +423,8 @@ class RegistryClient:
         if request_id in self._pending:
             self.timeouts += 1
             self._fail(request_id,
-                       f"registry call timed out after {self.timeout_ms} ms")
+                       f"registry call timed out after "
+                       f"{REGISTRY_TIMEOUT_MS} ms")
 
     def _on_response(self, message: Message) -> None:
         kind, request_id, result, error = message.payload
@@ -451,8 +454,8 @@ class CachingRegistryClient(RegistryClient):
     READ_OPERATIONS = READ_OPERATIONS
 
     def __init__(self, network: Network, host_name: str, server_host: str,
-                 timeout_ms: float = 5_000.0, cache_ttl_ms: float = 10_000.0):
-        super().__init__(network, host_name, server_host, timeout_ms)
+                 cache_ttl_ms: float = 10_000.0):
+        super().__init__(network, host_name, server_host)
         self.cache_ttl_ms = float(cache_ttl_ms)
         # key -> (expires_at, result)
         self._cache: Dict[str, Tuple[float, Any]] = {}
@@ -487,9 +490,9 @@ class CachingRegistryClient(RegistryClient):
 
 
 def install_registry(network: Network, host_name: str,
-                     center: Optional[RegistryCenter] = None,
-                     processing_delay_ms: float = 2.0) -> RegistryServer:
+                     center: Optional[RegistryCenter] = None
+                     ) -> RegistryServer:
     """Create a RegistryServer and record it for local-client shortcuts."""
-    server = RegistryServer(network, host_name, center, processing_delay_ms)
+    server = RegistryServer(network, host_name, center)
     network.registry_centers[host_name] = server.center
     return server

@@ -4,7 +4,13 @@ import pytest
 
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent, AgentError, AgentState
-from repro.agents.mobility import CostModel
+from repro.agents.mobility import (
+    CHECKIN_BASE_MS,
+    CHECKOUT_BASE_MS,
+    DESERIALIZE_MS_PER_MB,
+    SERIALIZE_MS_PER_MB,
+    CostModel,
+)
 from repro.agents.platform import AgentPlatform
 from repro.agents.serialization import SerializationError, register_agent_type
 from repro.net.clock import round_trip_cost
@@ -222,10 +228,14 @@ def test_clone_name_collision_rejected():
 
 
 def test_cost_model_scaling():
-    cm = CostModel(checkout_base_ms=10.0, serialize_ms_per_mb=40.0)
-    assert cm.checkout_ms(0, 1.0) == pytest.approx(10.0)
-    assert cm.checkout_ms(1_000_000, 1.0) == pytest.approx(50.0)
-    assert cm.checkout_ms(1_000_000, 2.0) == pytest.approx(100.0)  # slow CPU
+    cm = CostModel()
+    base, per_mb = CHECKOUT_BASE_MS, SERIALIZE_MS_PER_MB
+    assert cm.checkout_ms(0, 1.0) == pytest.approx(base)
+    assert cm.checkout_ms(1_000_000, 1.0) == pytest.approx(base + per_mb)
+    # A slow CPU pays proportionally more.
+    assert cm.checkout_ms(1_000_000, 2.0) == pytest.approx(2 * (base + per_mb))
+    base, per_mb = CHECKIN_BASE_MS, DESERIALIZE_MS_PER_MB
+    assert cm.checkin_ms(2_000_000, 1.0) == pytest.approx(base + 2 * per_mb)
 
 
 def test_slow_host_pays_more_checkin():

@@ -18,7 +18,7 @@ def player(track_bytes=5_000_000):
 
 @pytest.fixture
 def resolver():
-    return BindingResolver(data_carry_threshold_bytes=512_000)
+    return BindingResolver()
 
 
 class TestStaticPolicy:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.rulesets as rulesets
 from repro.core.autonomous_agent import DecisionEngine
 from repro.core.rulesets import default_migration_rules, paper_rules
 
@@ -51,8 +52,12 @@ def test_carry_policy_full_when_destination_empty(engine):
     assert decision.carry_policy == "full"
 
 
-def test_custom_threshold():
-    engine = DecisionEngine(response_time_threshold_ms=100.0)
+def test_custom_threshold(monkeypatch):
+    """The Move rule gates on RESPONSE_TIME_THRESHOLD_MS as the rules are
+    parsed, not on a literal of its own."""
+    assert rulesets.RESPONSE_TIME_THRESHOLD_MS == 1000.0  # Fig. 6
+    monkeypatch.setattr(rulesets, "RESPONSE_TIME_THRESHOLD_MS", 100.0)
+    engine = DecisionEngine()
     assert not engine.evaluate("h1", "h2", 200.0, True, True).move
     assert engine.evaluate("h1", "h2", 50.0, True, True).move
 

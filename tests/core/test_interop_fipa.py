@@ -7,10 +7,11 @@ import pytest
 from repro.apps.music_player import MusicPlayerApp
 from repro.core import Deployment, MiddlewareConfig
 from repro.core.application import AppStatus
+from repro.core.pipeline import NEGOTIATION_TIMEOUT_MS
 
 
-def fipa_deployment(seed=7, **config_kwargs):
-    config = MiddlewareConfig(migration_protocol="fipa", **config_kwargs)
+def fipa_deployment(seed=7):
+    config = MiddlewareConfig(migration_protocol="fipa")
     d = Deployment(seed=seed, config=config)
     d.add_space("lab")
     return d
@@ -133,7 +134,7 @@ class TestNegotiationReject:
 
 class TestNegotiationTimeout:
     def test_unanswered_proposal_times_out_cleanly(self):
-        d = fipa_deployment(negotiation_timeout_ms=800.0)
+        d = fipa_deployment()
         src = d.add_host("pc1", "lab")
         dst = d.add_host("pc2", "lab")
         # The destination's capability responder never sees the PROPOSE
@@ -142,10 +143,15 @@ class TestNegotiationTimeout:
         app = launch(d, "pc1")
         d.run_all()
         outcome = src.migrate("player", "pc2")
+        failed_at = []
+        outcome.on_complete(lambda _outcome: failed_at.append(d.loop.now))
         d.run_all()
         assert outcome.failed
         assert "timed out" in outcome.failure_reason
         assert app.status is AppStatus.RUNNING
+        # Planning's registry lookups precede the proposal by a few ms.
+        waited = failed_at[0] - outcome.started_at
+        assert NEGOTIATION_TIMEOUT_MS <= waited < NEGOTIATION_TIMEOUT_MS + 50
 
 
 class TestSchedulerUnderRejection:

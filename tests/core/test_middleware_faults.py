@@ -8,6 +8,7 @@ from repro.apps.music_player import MusicPlayerApp
 from repro.apps.slideshow import SlideShowApp
 from repro.core import Deployment, MigrationKind, MiddlewareConfig
 from repro.core.application import AppStatus
+from repro.core.middleware import REMOTE_FETCH_ATTEMPTS
 from repro.obs import Observability
 
 
@@ -83,8 +84,7 @@ class TestSyncDropsDuringCrash:
 
 class TestRemoteFetchTimeout:
     def test_crashed_source_times_out_after_retries(self):
-        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0,
-                                remote_fetch_retries=3)
+        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0)
         d.add_host("pc1", "lab")
         dst = d.add_host("pc2", "lab")
         d.run_all()
@@ -94,15 +94,14 @@ class TestRemoteFetchTimeout:
                               lambda: fired.append(1), failures.append)
         d.run_all()
         assert not fired
-        assert failures == ["remote fetch from pc1 timed out after "
-                            "3 attempts"]
-        assert fault_count(obs, "fetch-timeout") == 3
-        assert fault_count(obs, "fetch-send-failed") == 3
+        assert failures == [f"remote fetch from pc1 timed out after "
+                            f"{REMOTE_FETCH_ATTEMPTS} attempts"]
+        assert fault_count(obs, "fetch-timeout") == REMOTE_FETCH_ATTEMPTS
+        assert fault_count(obs, "fetch-send-failed") == REMOTE_FETCH_ATTEMPTS
         assert not dst._fetch_requests and not dst._fetch_callbacks
 
     def test_retries_are_spaced_by_backoff(self):
-        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0,
-                                remote_fetch_retries=2)
+        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0)
         d.add_host("pc1", "lab")
         dst = d.add_host("pc2", "lab")
         d.run_all()
@@ -113,14 +112,14 @@ class TestRemoteFetchTimeout:
                               failures.append)
         d.run_all()
         assert len(failures) == 1
-        # Two armed deadlines plus one seeded backoff gap between them.
-        assert d.loop.now - start > 2 * 400.0
+        # One armed deadline per attempt plus a seeded backoff gap between
+        # each two.
+        assert d.loop.now - start > REMOTE_FETCH_ATTEMPTS * 400.0
 
     def test_partitioned_source_recovers_before_deadline(self):
         """A source that comes back within the retry budget still serves
         the fetch -- timeouts only fire for genuinely lost attempts."""
-        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0,
-                                remote_fetch_retries=5)
+        d, obs = obs_deployment(remote_fetch_timeout_ms=400.0)
         src = d.add_host("pc1", "lab")
         dst = d.add_host("pc2", "lab")
         src.launch_application(
@@ -160,8 +159,7 @@ class TestMigrationWithDeadSource:
         dies before the destination's remote-open fetch is answered.
         Pre-fix the resume wedged forever -- now the outcome fails
         terminally once the fetch deadline expires."""
-        d, obs = obs_deployment(remote_fetch_timeout_ms=500.0,
-                                remote_fetch_retries=2)
+        d, obs = obs_deployment(remote_fetch_timeout_ms=500.0)
         src = d.add_host("pc1", "lab")
         d.add_host("pc2", "lab")
         app = MusicPlayerApp.build("player", "ann", track_bytes=2_000_000)

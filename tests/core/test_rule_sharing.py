@@ -3,7 +3,7 @@ and shared by the deployment's hosts."""
 
 import repro.core.rulesets as rulesets
 import repro.ontology.rules as rules
-from repro.core import Deployment, MiddlewareConfig
+from repro.core import Deployment
 from repro.ontology.owl import Ontology
 from repro.simcheck.scenario import (
     build_application,
@@ -12,8 +12,8 @@ from repro.simcheck.scenario import (
 )
 
 
-def build(config=None) -> Deployment:
-    d = Deployment(seed=2, config=config)
+def build() -> Deployment:
+    d = Deployment(seed=2)
     d.add_space("room")
     for name in ("pc1", "pc2", "pc3"):
         d.add_host(name, "room")
@@ -33,20 +33,21 @@ def test_every_host_shares_the_deployments_rule_set():
     assert all(engine.rules is d.migration_rules for engine in engines)
 
 
-def test_configured_threshold_reaches_the_move_rule():
-    d = build(MiddlewareConfig(response_time_threshold_ms=250.0))
+def test_configured_threshold_reaches_the_move_rule(monkeypatch):
+    assert move_threshold(build().migration_rules) == \
+        rulesets.RESPONSE_TIME_THRESHOLD_MS
+    monkeypatch.setattr(rulesets, "RESPONSE_TIME_THRESHOLD_MS", 250.0)
+    d = build()
     assert move_threshold(d.middleware("pc2").aa.engine.rules) == 250.0
-    assert move_threshold(build().migration_rules) == 1000.0
 
 
 def test_deployments_do_not_share_rule_sets():
-    fast = build(MiddlewareConfig(response_time_threshold_ms=100.0))
-    slow = build(MiddlewareConfig(response_time_threshold_ms=2000.0))
-    assert fast.migration_rules is not slow.migration_rules
-    assert move_threshold(fast.migration_rules) == 100.0
-    assert move_threshold(slow.migration_rules) == 2000.0
-    # No process-wide memo: equal configs still get their own rule set.
-    assert build().migration_rules is not build().migration_rules
+    # No process-wide memo: equal deployments get their own rule set.
+    a, b = build(), build()
+    assert a.migration_rules is not b.migration_rules
+    assert move_threshold(a.migration_rules) == \
+        move_threshold(b.migration_rules) == \
+        rulesets.RESPONSE_TIME_THRESHOLD_MS
 
 
 def test_building_and_running_a_deployment_parses_no_rules(monkeypatch):
@@ -82,10 +83,3 @@ def test_building_and_running_a_deployment_parses_no_rules(monkeypatch):
     assert engine.evaluate("h1", "h2", 50.0, True, True).move
     assert engine.evaluate("h1", "h2", 50.0, True, True).move
     assert calls == {"parse_rules": 1, "declare_class": 0}
-
-
-def test_rules_keep_the_threshold_the_deployment_was_built_with():
-    d = build(MiddlewareConfig(response_time_threshold_ms=250.0))
-    d.config.response_time_threshold_ms = 4000.0  # edited after the build
-    assert move_threshold(d.middleware("pc1").aa.engine.rules) == 250.0
-    assert move_threshold(d.migration_rules) == 250.0

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.agents.mobility import CostModel
+from repro.agents.mobility import (
+    RETRY_BACKOFF_CAP_MS,
+    RETRY_JITTER_FRAC,
+    CostModel,
+)
 
 
 def make_model(chunk_bytes: int, window: int = 1) -> CostModel:
@@ -92,5 +96,5 @@ class TestBackoffProperties:
     @given(attempt=st.integers(min_value=0, max_value=20))
     def test_backoff_respects_cap_plus_jitter(self, attempt):
         model = CostModel()
-        ceiling = model.retry_backoff_cap_ms * (1 + model.retry_jitter_frac)
+        ceiling = RETRY_BACKOFF_CAP_MS * (1 + RETRY_JITTER_FRAC)
         assert 0 < model.backoff_ms(attempt) <= ceiling

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.agents import mobility
 from repro.agents.agent import Agent
-from repro.agents.mobility import CostModel
+from repro.agents.mobility import (
+    RETRY_BACKOFF_CAP_MS,
+    RETRY_BACKOFF_MS,
+    RETRY_JITTER_FRAC,
+    CostModel,
+)
 from repro.agents.platform import AgentPlatform
 from repro.agents.serialization import register_agent_type
 from repro.bench.harness import MigrationExperiment, TestbedConfig
@@ -15,38 +21,37 @@ from repro.net.simnet import Network
 
 # -- exponential backoff (satellite 1) ---------------------------------------
 
-def test_backoff_grows_exponentially_and_caps():
-    model = CostModel(retry_backoff_ms=50.0, retry_backoff_cap_ms=2_000.0,
-                     retry_jitter_frac=0.0)
-    assert model.backoff_ms(0) == 50.0
-    assert model.backoff_ms(1) == 100.0
-    assert model.backoff_ms(2) == 200.0
-    assert model.backoff_ms(3) == 400.0
+def test_backoff_grows_exponentially_and_caps(monkeypatch):
+    monkeypatch.setattr(mobility, "RETRY_JITTER_FRAC", 0.0)
+    model = CostModel()
+    base = RETRY_BACKOFF_MS
+    assert model.backoff_ms(0) == base
+    assert model.backoff_ms(1) == 2 * base
+    assert model.backoff_ms(2) == 4 * base
+    assert model.backoff_ms(3) == 8 * base
     # The cap bounds the delay no matter how deep the retry goes.
-    assert model.backoff_ms(10) == 2_000.0
-    assert model.backoff_ms(50) == 2_000.0
+    assert model.backoff_ms(10) == RETRY_BACKOFF_CAP_MS
+    assert model.backoff_ms(50) == RETRY_BACKOFF_CAP_MS
 
 
 def test_backoff_jitter_is_deterministic_and_bounded():
-    model = CostModel(retry_backoff_ms=50.0, retry_jitter_frac=0.1,
-                     backoff_seed=7)
+    model = CostModel(backoff_seed=7)
     # Same (seed, key, attempt) -> same delay, every time.
     assert model.backoff_ms(2, key="ma:1:0") == model.backoff_ms(2,
                                                                  key="ma:1:0")
     # Different attempt or key decorrelates the jitter.
     assert model.backoff_ms(2, key="ma:1:0") != model.backoff_ms(2,
                                                                  key="ma:1:1")
-    # Jitter only ever adds, and at most jitter_frac of the base delay.
+    # Jitter only ever adds, and at most RETRY_JITTER_FRAC of the delay.
     for attempt in range(8):
-        base = CostModel(retry_backoff_ms=50.0,
-                         retry_jitter_frac=0.0).backoff_ms(attempt)
+        base = min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS * 2 ** attempt)
         delay = model.backoff_ms(attempt, key="k")
-        assert base <= delay <= base * 1.1
+        assert base <= delay <= base * (1 + RETRY_JITTER_FRAC)
 
 
 def test_backoff_seed_changes_jitter():
-    a = CostModel(retry_jitter_frac=0.1, backoff_seed=1)
-    b = CostModel(retry_jitter_frac=0.1, backoff_seed=2)
+    a = CostModel(backoff_seed=1)
+    b = CostModel(backoff_seed=2)
     assert a.backoff_ms(3, key="x") != b.backoff_ms(3, key="x")
 
 

@@ -16,27 +16,25 @@ import weakref
 import pytest
 
 from repro.apps.music_player import MusicPlayerApp
-from repro.core import Deployment, MiddlewareConfig
+from repro.core import Deployment
 from repro.core.application import AppStatus
 from repro.core.mobile_agent import MDMobileAgent
 from repro.core.pipeline import MigrationPipeline, plan_to_dict
 from repro.registry.federation import FederatedRegistryClient
-from repro.registry.registry import CachingRegistryClient, RegistryClient
+from repro.registry.registry import RegistryClient
 from repro.simcheck.scenario import build_deployment, generate_scenario
 
 
 def _migrate_once(registry: str):
     """Build a two-host deployment, move one app, return weak refs."""
-    config = (MiddlewareConfig(registry_cache_ttl_ms=60_000.0)
-              if registry == "caching" else None)
-    d = Deployment(seed=3, config=config)
+    d = Deployment(seed=3)
     if registry == "federated":
         d.enable_federated_registry()
     d.add_space("room")
     d.install_registry("room", host_name="reg")
     src = d.add_host("pc1", "room")
     d.add_host("pc2", "room")
-    expected = {"flat": RegistryClient, "caching": CachingRegistryClient,
+    expected = {"flat": RegistryClient,
                 "federated": FederatedRegistryClient}[registry]
     assert type(src.registry_client) is expected
     src.launch_application(
@@ -48,7 +46,7 @@ def _migrate_once(registry: str):
     return weakref.ref(d), weakref.ref(d.network)
 
 
-@pytest.mark.parametrize("registry", ["flat", "caching", "federated"])
+@pytest.mark.parametrize("registry", ["flat", "federated"])
 def test_dropped_deployment_is_collected(registry):
     deployment_ref, network_ref = _migrate_once(registry)
     gc.collect()

@@ -15,7 +15,7 @@ from repro.obs import Observability
 from repro.registry.federation import (
     RegistryFederation, RegistryShard, cache_key, merge_results,
     routing_host)
-from repro.registry.registry import RegistryError
+from repro.registry.registry import REGISTRY_TIMEOUT_MS, RegistryError
 
 SPACES = {"lab": ["h1", "h2"], "annex": ["h3"]}
 
@@ -343,8 +343,7 @@ class TestInstallation:
         fed = d.federation
         assert fed.client_for("h1") is fed.client_for("h1")
         assert fed.node_for("reg") is fed.node_for("reg")
-        node = fed.node_for("h1", processing_delay_ms=7.0)
-        assert node.processing_delay_ms == 7.0
+        assert fed.node_for("h1") is fed.node_for("h1")
 
     def test_aggregator_can_be_pinned_to_spaces_at_install(self):
         d = build()
@@ -433,12 +432,28 @@ class TestServingErrors:
         assert "unreachable" in error
 
     def test_fanout_times_out_on_silent_shards(self):
+        """The annex shard's host crashes while it serves a sub-request,
+        so its reply is never sent and nothing reports the loss: the
+        aggregator gives up after the registry timeout."""
         d = build()
-        d.federation.timeout_ms = 0.5  # under one processing delay
-        result, error = call(d, "h1", "application_hosts",
+        aggregator = d.federation.default_aggregator
+        annex = d.federation.nodes[d.federation.shard_hosts["annex"]]
+        assert annex.host_name != aggregator
+        serve = annex._serve
+
+        def crash_while_serving(*args):
+            d.network.host(annex.host_name).online = False
+            serve(*args)
+
+        annex._serve = crash_while_serving
+        started = d.loop.now
+        # A caller on the aggregator's host has no client deadline of its
+        # own, so the fan-out's is the one that fires.
+        result, error = call(d, aggregator, "application_hosts",
                              {"app_name": "music"})
         assert result is None
-        assert "registry shard timed out" in error
+        assert error == "shard 'annex': registry shard timed out"
+        assert d.loop.now - started >= REGISTRY_TIMEOUT_MS
 
     def test_shard_dispatch_errors_propagate(self):
         d = build()
@@ -504,8 +519,7 @@ class TestServingErrors:
         d.network.create_host("probe")
         d.network.connect("probe", target, bandwidth_mbps=10.0,
                           latency_ms=1.0)
-        legacy = RegistryClient(d.network, "probe", target,
-                                timeout_ms=100.0)
+        legacy = RegistryClient(d.network, "probe", target)
         replies = []
         legacy.call("resources_on", {"host": "h1"},
                     lambda r, e: replies.append((r, e)))

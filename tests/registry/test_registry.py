@@ -12,6 +12,8 @@ from repro.registry.records import (
     ResourceRecord,
 )
 from repro.registry.registry import (
+    REGISTRY_PROCESSING_MS,
+    REGISTRY_TIMEOUT_MS,
     RegistryCenter,
     RegistryClient,
     RegistryError,
@@ -178,8 +180,7 @@ class TestRegistryRPC:
         net.create_host("registry-host")
         net.create_host("client-host")
         net.connect("registry-host", "client-host", latency_ms=3.0)
-        server = install_registry(net, "registry-host",
-                                  processing_delay_ms=2.0)
+        server = install_registry(net, "registry-host")
         client = RegistryClient(net, "client-host", "registry-host")
         return loop, net, server, client
 
@@ -202,8 +203,8 @@ class TestRegistryRPC:
         client.call("application_hosts", {"app_name": "x"},
                     lambda result, error: finished.append(loop.now))
         loop.run()
-        # 3ms out + 2ms processing + 3ms back, plus transmission time
-        assert finished[0] >= 8.0
+        # 3ms out + processing + 3ms back, plus transmission time
+        assert finished[0] >= 6.0 + REGISTRY_PROCESSING_MS
 
     def test_error_propagates(self):
         loop, net, server, client = self.make_rig()
@@ -245,15 +246,14 @@ class TestRegistryRPC:
 
 
 class TestRegistryFaults:
-    def make_rig(self, **client_kwargs):
+    def make_rig(self):
         loop = EventLoop()
         net = Network(loop)
         net.create_host("registry-host")
         net.create_host("client-host")
         net.connect("registry-host", "client-host", latency_ms=3.0)
         server = install_registry(net, "registry-host")
-        client = RegistryClient(net, "client-host", "registry-host",
-                                **client_kwargs)
+        client = RegistryClient(net, "client-host", "registry-host")
         return loop, net, server, client
 
     def test_offline_server_fails_fast(self):
@@ -266,7 +266,7 @@ class TestRegistryFaults:
         assert errors and "unreachable" in errors[0]
 
     def test_server_crash_mid_flight_times_out(self):
-        loop, net, server, client = self.make_rig(timeout_ms=1_000.0)
+        loop, net, server, client = self.make_rig()
         errors = []
         client.call("application_hosts", {"app_name": "x"},
                     lambda result, error: errors.append(error))
@@ -275,7 +275,7 @@ class TestRegistryFaults:
         assert errors == ["registry request lost"]
 
     def test_lost_response_times_out(self):
-        loop, net, server, client = self.make_rig(timeout_ms=1_000.0)
+        loop, net, server, client = self.make_rig()
         errors = []
         client.call("application_hosts", {"app_name": "x"},
                     lambda result, error: errors.append(error))
@@ -287,11 +287,13 @@ class TestRegistryFaults:
         loop.advance(20.0)
         net.host("client-host").online = True
         loop.run()
-        assert errors and "timed out" in errors[0]
+        assert errors == [f"registry call timed out after "
+                          f"{REGISTRY_TIMEOUT_MS} ms"]
+        assert loop.now >= REGISTRY_TIMEOUT_MS
         assert client.timeouts == 1
 
     def test_success_cancels_timeout(self):
-        loop, net, server, client = self.make_rig(timeout_ms=1_000.0)
+        loop, net, server, client = self.make_rig()
         results = []
         client.call("application_hosts", {"app_name": "x"},
                     lambda result, error: results.append((result, error)))
