@@ -130,7 +130,6 @@ class AgentContainer:
             agent.post(message)
         else:
             self._early_messages.setdefault(local_name, []).append(message)
-            self.platform.undelivered_buffered += 1
 
     def _on_network_message(self, net_message: Message) -> None:
         acl: ACLMessage = net_message.payload
@@ -149,7 +148,6 @@ class AgentPlatform:
         self._locations: Dict[str, str] = {}
         self.messages_sent = 0
         self.messages_failed = 0
-        self.undelivered_buffered = 0
         #: Conversation ids of the FIPA initiators this platform's agents
         #: run (:mod:`repro.agents.protocols`).
         self.conversation_ids = itertools.count(1)

@@ -129,8 +129,6 @@ class ContractNetResponder(Behaviour):
         self.protocol = protocol
         self.bid = bid
         self.on_award = on_award
-        self.bids_made = 0
-        self.awards_won = 0
 
     def action(self) -> None:
         message = self.agent.receive(protocol=self.protocol,
@@ -141,7 +139,6 @@ class ContractNetResponder(Behaviour):
             if proposal is None:
                 self.agent.send(message.create_reply(Performative.REFUSE))
             else:
-                self.bids_made += 1
                 self.agent.send(message.create_reply(Performative.PROPOSE,
                                                      proposal))
             return
@@ -149,7 +146,6 @@ class ContractNetResponder(Behaviour):
                                      performative=Performative.INFORM)
         if message is not None and isinstance(message.content, dict) \
                 and "award" in message.content:
-            self.awards_won += 1
             if self.on_award is not None:
                 self.on_award(message.content["award"])
             return
@@ -184,7 +180,6 @@ class ProposeInitiator(Behaviour):
         #: Drawn from the agent platform's counter when the behaviour starts.
         self.conversation_id = ""
         self.state = "start"
-        self.timed_out = False
         self._deadline_timer = None
 
     def on_start(self) -> None:
@@ -204,7 +199,6 @@ class ProposeInitiator(Behaviour):
 
     def _timeout(self) -> None:
         if self.state != "done":
-            self.timed_out = True
             self.state = "done"
             if self.on_timeout is not None:
                 self.on_timeout()
@@ -260,7 +254,6 @@ class ProposeResponder(Behaviour):
         super().__init__(name or f"proposals-{protocol}")
         self.protocol = protocol
         self.handler = handler
-        self.served = 0
         self.accepted = 0
         self.rejected = 0
 
@@ -270,7 +263,6 @@ class ProposeResponder(Behaviour):
         if message is None:
             self.block()
             return
-        self.served += 1
         accept, payload = self.handler(message)
         if accept:
             self.accepted += 1

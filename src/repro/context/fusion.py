@@ -63,8 +63,6 @@ class LocationFusion:
         self.window_size = window_size
         self.min_confidence = min_confidence
         self._windows: Dict[str, _Window] = {}
-        self.fused_count = 0
-        self.rejected_low_confidence = 0
         bus.subscribe(TOPIC_RAW_CRICKET, self._on_raw)
 
     def _on_raw(self, event: ContextEvent) -> None:
@@ -89,14 +87,12 @@ class LocationFusion:
         space, weight = max(weights.items(), key=lambda kv: (kv[1], kv[0]))
         confidence = weight / total
         if confidence < self.min_confidence:
-            self.rejected_low_confidence += 1
             return
         if space == window.last_location:
             return
         previous = window.last_location
         window.last_location = space
         user = self.identities.user_for(badge_id) or badge_id
-        self.fused_count += 1
         self.bus.publish(ContextEvent(
             topic=TOPIC_LOCATION,
             subject=user,

@@ -197,7 +197,6 @@ class NetworkSensor:
         self.peers = list(peers)
         self.probe_period_ms = float(probe_period_ms)
         self._running = False
-        self.probes_sent = 0
         self._install_echo_handlers()
 
     def _install_echo_handlers(self) -> None:
@@ -234,7 +233,6 @@ class NetworkSensor:
         if not self._running:
             return
         for peer in self.peers:
-            self.probes_sent += 1
             self.network.send(self.home, peer, self.PROTOCOL,
                               ("ping", self.home, self.loop.now), 0)
         self.loop.call_later(self.probe_period_ms, self._probe)

@@ -45,7 +45,6 @@ class Coordinator:
         self.master_host: Optional[str] = None
         self.replica_hosts: List[str] = []
         self._sync_sender: Optional[SyncSender] = None
-        self.updates_applied = 0
         self.updates_sent = 0
 
     # -- observer pattern ---------------------------------------------------
@@ -100,7 +99,6 @@ class Coordinator:
 
     def _apply(self, key: str, value: Any) -> None:
         self.state[key] = value
-        self.updates_applied += 1
         self._notify(key, value)
 
     def _broadcast(self, key: str, value: Any) -> None:

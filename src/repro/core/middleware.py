@@ -678,7 +678,6 @@ class MigrationScheduler:
         self._pending: List[ScheduledMigration] = []
         self._busy_destinations: set = set()
         self.active = 0
-        self.admitted = 0
         self.completed = 0
         self.rejected = 0
         self.max_queue_depth = 0
@@ -759,7 +758,6 @@ class MigrationScheduler:
         request.state = "active"
         request.outcome = outcome
         self.active += 1
-        self.admitted += 1
         self._busy_destinations.add(request.destination)
         self._emit("scheduler.admit", request)
         outcome.log(f"scheduler: admitted after {request.queue_wait_ms:.1f} "

@@ -181,7 +181,6 @@ class MigrationContext:
         self.outcome: Optional[MigrationOutcome] = None
         self.token: str = ""
         self.plan: Optional[MigrationPlan] = None
-        self.grant: Optional[Dict[str, Any]] = None
         self.snapshot = None
         self.ma: Optional[MDMobileAgent] = None
         self.ma_arrived = False
@@ -504,11 +503,6 @@ class DirectNegotiationPhase(MiddlewarePhase):
     name = "negotiation"
 
     def run(self, ctx: MigrationContext) -> None:
-        middleware = ctx.middleware
-        ctx.grant = {"protocol": "direct",
-                     "platform_kind": middleware.platform_kind,
-                     "serialization_version":
-                         middleware.serialization_version}
         ctx.complete_phase()
 
 
@@ -541,7 +535,6 @@ class FipaNegotiationPhase(MiddlewarePhase):
                 f"negotiation: {plan.destination} accepted "
                 f"({grant.get('platform_kind', '?')}"
                 f"/v{grant.get('serialization_version', '?')})")
-            ctx.grant = grant
             ctx.complete_phase()
 
         def on_reject(message):

@@ -59,8 +59,6 @@ class SnapshotManager:
 
     def __init__(self):
         self._ids = itertools.count(1)
-        self.captures = 0
-        self.restores = 0
 
     def capture(self, app: Application, now: float = 0.0) -> Snapshot:
         """Snapshot an application's full state (must not be mid-update)."""
@@ -76,7 +74,6 @@ class SnapshotManager:
         except Exception as exc:
             raise SnapshotError(
                 f"cannot capture snapshot of {app.name!r}: {exc}") from exc
-        self.captures += 1
         return snapshot
 
     def restore(self, app: Application, snapshot: Snapshot) -> None:
@@ -87,4 +84,3 @@ class SnapshotManager:
                 f"{app.name!r}")
         app.coordinator.restore_state(snapshot.coordinator_state)
         app.restore_app_state(dict(snapshot.app_state))
-        self.restores += 1

@@ -106,7 +106,6 @@ class InvariantChecker:
         self._resource_gen = 0
         self._registry_requests = 0
         self._registry_answers = 0
-        self._installed = False
         #: Optional ``callback(violation)`` fired the instant a violation
         #: is recorded -- the runner uses it to freeze the flight
         #: recorder's ring at the first breach, before later events
@@ -132,7 +131,6 @@ class InvariantChecker:
             # bump always lands before ours on the same publish -- the
             # checker's model never runs ahead of reality.
             bus.subscribe(TOPIC_APP, self._on_app_lifecycle)
-        self._installed = True
         return self
 
     def expect_application(self, app) -> None:
