@@ -159,8 +159,10 @@ class Agent:
     # -- scheduling (driven by the container) ---------------------------------------
 
     def schedule_step(self) -> None:
+        # An agent without behaviours (such as a mobile agent) has nothing
+        # to step.
         if self.container is not None and not self._step_scheduled \
-                and self.state is AgentState.ACTIVE:
+                and self.state is AgentState.ACTIVE and self.behaviours:
             self._step_scheduled = True
             self.loop.call_soon(self._step)
 
@@ -172,11 +174,6 @@ class Agent:
         for behaviour in list(self.behaviours):
             if behaviour.blocked or behaviour not in self.behaviours:
                 continue
-            if getattr(behaviour, "_needs_start", False):
-                behaviour._needs_start = False
-                behaviour.on_start()
-                if behaviour.blocked:
-                    continue
             behaviour.action()
             progressed = True
             if behaviour.done():

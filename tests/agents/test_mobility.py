@@ -76,6 +76,26 @@ def test_move_relocates_agent():
     assert platform.where_is("ma") == "h2"
 
 
+def test_agent_without_behaviours_takes_no_step(monkeypatch):
+    """Neither creation nor check-in schedules a step for an agent with
+    nothing to run."""
+    steps = []
+    step = Agent._step
+
+    def counting_step(agent):
+        steps.append(agent.local_name)
+        step(agent)
+
+    monkeypatch.setattr(Agent, "_step", counting_step)
+    loop, net, platform, c1, c2 = make_rig()
+    agent = c1.create_agent(Courier, "ma")
+    result = agent.do_move("h2")
+    loop.run()
+    assert result.completed
+    assert c2.agent("ma").state is AgentState.ACTIVE
+    assert steps == []
+
+
 def test_move_costs_scale_with_payload():
     small_loop, *_ = self_run(payload=100_000)
     big_loop, *_ = self_run(payload=5_000_000)
