@@ -198,10 +198,9 @@ class MDAgentMiddleware:
         app.coordinator.host = self.host_name
         app.coordinator.attach_sync_transport(self._send_sync)
         if register:
-            self.registry_client.call(
+            self.registry_write(
                 "register_application",
-                {"record": self._application_record(app).to_dict()},
-                lambda result, error: None)
+                {"record": self._application_record(app).to_dict()})
         return app
 
     def launch_application(self, app: Application) -> Application:
@@ -226,10 +225,8 @@ class MDAgentMiddleware:
         # Lifecycle listeners (e.g. the pre-staging service's staged-pair
         # invalidation) need to hear about explicit stops too.
         self.publish_app_event(app, "stopped")
-        self.registry_client.call(
-            "deregister_application",
-            {"app_name": app_name, "host": self.host_name},
-            lambda result, error: None)
+        self.registry_write("deregister_application",
+                            {"app_name": app_name, "host": self.host_name})
 
     def application(self, name: str) -> Application:
         try:
@@ -241,12 +238,25 @@ class MDAgentMiddleware:
     def register_resource(self, resource_id: str, classes: List[str],
                           properties: Optional[Dict[str, Any]] = None) -> None:
         """Advertise a local resource to the registry center."""
-        self.registry_client.call(
+        self.registry_write(
             "register_resource",
             {"record": {"resource_id": resource_id, "host": self.host_name,
                         "classes": list(classes),
-                        "properties": dict(properties or {})}},
-            lambda result, error: None)
+                        "properties": dict(properties or {})}})
+
+    def registry_write(self, operation: str, args: Dict[str, Any]) -> None:
+        """Send one registry write without waiting for its answer.
+
+        Nothing retries a failed write; it is reported as a
+        ``registry-write-failed`` fault (hook event and
+        ``fault.middleware`` counter), the way a failed fetch is.
+        """
+        def report(_result: Any, error: Optional[str]) -> None:
+            if error is not None:
+                self._emit_fault("registry-write-failed",
+                                 operation=operation, error=error)
+
+        self.registry_client.call(operation, args, report)
 
     def _application_record(self, app: Application) -> ApplicationRecord:
         return ApplicationRecord(

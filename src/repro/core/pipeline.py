@@ -855,10 +855,9 @@ class PowerUpPhase(MiddlewarePhase):
             middleware.assume_sync_master(app, sync_master["replicas"])
             outcome.log(f"sync master moved; re-pointed replicas "
                         f"{sync_master['replicas']}")
-        middleware.registry_client.call(
+        middleware.registry_write(
             "register_application",
-            {"record": middleware._application_record(app).to_dict()},
-            lambda result, error: None)
+            {"record": middleware._application_record(app).to_dict()})
         middleware.publish_app_event(app, "resumed")
         outcome.resume_done_at = loop.now
         outcome.completed = True
@@ -1025,10 +1024,9 @@ class PrestageFinishPhase(MiddlewarePhase):
         plan = ctx.arrived_plan
         outcome = ctx.outcome
         ma = ctx.ma
-        middleware.registry_client.call(
+        middleware.registry_write(
             "register_application",
-            {"record": middleware._application_record(app).to_dict()},
-            lambda result, error: None)
+            {"record": middleware._application_record(app).to_dict()})
         outcome.resume_done_at = loop.now
         outcome.completed = True
         outcome.log(f"prestaged {plan.carry_components} on "

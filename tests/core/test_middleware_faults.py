@@ -153,6 +153,22 @@ class TestRemoteFetchTimeout:
         assert fault_count(obs, "fetch-timeout") == 0
 
 
+class TestRegistryWriteFailure:
+    def test_lost_registration_is_reported_once(self):
+        """A registry write is fire-and-forget: with the registry host
+        down the app still starts, and the lost write is counted."""
+        d, obs = obs_deployment()
+        d.add_host("pc1", "lab")  # the registry center
+        dst = d.add_host("pc2", "lab")
+        d.run_all()
+        d.network.host("pc1").online = False
+        app = MusicPlayerApp.build("player", "ann", track_bytes=50_000)
+        dst.launch_application(app)
+        d.run_all()
+        assert app.status is AppStatus.RUNNING
+        assert fault_count(obs, "registry-write-failed") == 1
+
+
 class TestMigrationWithDeadSource:
     def test_source_crash_during_remote_open_fails_outcome(self):
         """Adaptive migration leaves the big track remote; the source
