@@ -8,23 +8,17 @@ Events scheduled for the same instant fire in scheduling order (a
 monotonically increasing sequence number breaks ties), which keeps causally
 ordered callbacks causally ordered.
 
-The queue is a two-level calendar: a *near* binary heap holding the
-soonest events and a *far* dict of coarse time buckets.  Pushes land in
-the near heap only when they fall before the already-pulled horizon;
-everything else is appended to its bucket in O(1) and heapified only when
-its bucket becomes the earliest.  Because entries are ordered by the full
-``(due, seq)`` key wherever they sit, the dispatch order is provably
-identical to a single binary heap -- the calendar only changes *when* the
-ordering work happens, never its result.  Cancelled timers stay behind as
-tombstones (cheap, never dispatched) and are compacted away in bulk when
-they dominate the queue (see :meth:`EventLoop._compact`).
+The queue is one binary heap of ``(due, seq, timer)`` entries.  Cancelled
+timers stay behind as tombstones (cheap, never dispatched) and are
+compacted away in bulk when they dominate the queue (see
+:meth:`EventLoop._compact`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -80,31 +74,16 @@ class EventLoop:
         loop.now              # -> 10.0
     """
 
-    #: Width of one far-calendar bucket in simulated ms.  Events due within
-    #: the current bucket go straight to the near heap; later events are
-    #: binned and only heapified when their bucket becomes the earliest.
-    _BUCKET_MS = 1024.0
     #: Tombstone compaction trigger: at least this many cancelled entries
     #: *and* tombstones at least half the queue, so small queues never pay
     #: for a compaction pass.
     _COMPACT_MIN_DEAD = 256
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
-        #: Near heap: ``(due, seq, Timer)`` entries, the only structure
-        #: events are popped from.
-        self._near: List[Tuple[float, int, Timer]] = []
-        #: Far calendar: bucket index -> unsorted entry list.
-        self._far: Dict[int, List[Tuple[float, int, Timer]]] = {}
-        #: Heap of far bucket indices (no duplicates: an index is present
-        #: iff its bucket exists in ``_far``).
-        self._bucket_heap: List[int] = []
-        #: Highest bucket index already merged into the near heap; pushes
-        #: at or below this land in the near heap directly.
-        self._pulled_upto = int(self._now // self._BUCKET_MS)
-        #: Raw entries across both levels, tombstones included.
-        self._size = 0
-        #: Cancelled entries still buried in the queue.
+    def __init__(self):
+        self._now = 0.0
+        #: ``(due, seq, Timer)`` entries, tombstones included.
+        self._heap: List[Tuple[float, int, Timer]] = []
+        #: Cancelled entries still buried in the heap.
         self._dead = 0
         self._seq = itertools.count()
         self._running = False
@@ -131,7 +110,7 @@ class EventLoop:
         Cancelled tombstones are excluded: they occupy queue slots (see
         :attr:`heap_depth`) but will never dispatch.
         """
-        return self._size - self._dead
+        return len(self._heap) - self._dead
 
     @property
     def heap_depth(self) -> int:
@@ -140,7 +119,7 @@ class EventLoop:
         This is the O(1) depth the kernel gauge and obs hooks report; the
         difference ``heap_depth - pending`` is the current tombstone debt.
         """
-        return self._size
+        return len(self._heap)
 
     @property
     def processed(self) -> int:
@@ -151,29 +130,19 @@ class EventLoop:
         """A queued timer was cancelled; count the tombstone."""
         self._dead += 1
         if (self._dead >= self._COMPACT_MIN_DEAD
-                and self._dead * 2 >= self._size):
+                and self._dead * 2 >= len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
-        """Physically remove every tombstone from both calendar levels.
+        """Physically remove every tombstone from the heap.
 
         Runs in O(live) when the dead fraction crosses the threshold, so
         the amortized cost per cancellation is O(1).  Compaction never
         changes dispatch order (ordering is by the full ``(due, seq)``
         key) -- it only shrinks :attr:`heap_depth`.
         """
-        self._near = [e for e in self._near if not e[2].cancelled]
-        heapq.heapify(self._near)
-        size = len(self._near)
-        for index in list(self._far):
-            bucket = [e for e in self._far[index] if not e[2].cancelled]
-            if bucket:
-                self._far[index] = bucket
-                size += len(bucket)
-            else:
-                del self._far[index]
-        self._bucket_heap = sorted(self._far)
-        self._size = size
+        self._heap = [e for e in self._heap if not e[2].cancelled]
+        heapq.heapify(self._heap)
         self._dead = 0
 
     def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
@@ -184,18 +153,7 @@ class EventLoop:
             )
         timer = Timer(float(when), next(self._seq), callback, args)
         timer._loop = self
-        entry = (timer.due, timer.seq, timer)
-        index = int(timer.due // self._BUCKET_MS)
-        if index <= self._pulled_upto:
-            heapq.heappush(self._near, entry)
-        else:
-            bucket = self._far.get(index)
-            if bucket is None:
-                self._far[index] = [entry]
-                heapq.heappush(self._bucket_heap, index)
-            else:
-                bucket.append(entry)
-        self._size += 1
+        heapq.heappush(self._heap, (timer.due, timer.seq, timer))
         return timer
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
@@ -209,62 +167,14 @@ class EventLoop:
         currently running event and anything already queued for *now*)."""
         return self.call_at(self._now, callback, *args)
 
-    def reschedule(self, timer: Timer, when: float) -> Timer:
-        """Move a *pending* timer to a new due time.
-
-        Cancels ``timer`` and schedules the same callback/args at ``when``,
-        returning the new handle.  Used by the fair-share link engine,
-        which must shift its predicted completion event whenever a flow
-        joins or leaves a link.  The old queue entry stays behind as a
-        cancelled tombstone -- cheap, never dispatched, and compacted away
-        in bulk if tombstones ever dominate the queue.
-
-        Rescheduling a timer that already fired raises
-        :class:`SimulationError`: its callback has run (or is running), so
-        silently re-queueing it would dispatch the event twice.  Callers
-        that race completion must check :attr:`Timer.active` first and
-        book a fresh timer instead.
-        """
-        if timer.fired:
-            raise SimulationError(
-                f"cannot reschedule fired timer for "
-                f"{getattr(timer.callback, '__qualname__', timer.callback)!r}: "
-                f"its callback already dispatched")
-        timer.cancel()
-        return self.call_at(when, timer.callback, *timer.args)
-
-    def _pull_far(self) -> None:
-        """Turn the earliest far bucket into the new near heap.
-
-        Only called when the near heap is empty.  Safe by construction:
-        near entries are always strictly below the pulled horizon
-        ``(_pulled_upto + 1) * _BUCKET_MS`` (pushes at or below the
-        horizon go near directly), and every entry in far bucket ``i``
-        is due at or after ``i * _BUCKET_MS`` -- so the global minimum
-        lives in the near heap whenever it is non-empty, and the next
-        bucket in line holds it otherwise.
-        """
-        if not self._bucket_heap:
-            return
-        index = heapq.heappop(self._bucket_heap)
-        self._pulled_upto = index
-        entries = self._far.pop(index)
-        heapq.heapify(entries)
-        self._near = entries
-
     def _pop_due(self) -> Optional[Timer]:
-        near = self._near
-        while True:
-            if not near:
-                self._pull_far()
-                near = self._near
-                if not near:
-                    return None
-            _, _, timer = heapq.heappop(near)
-            self._size -= 1
+        heap = self._heap
+        while heap:
+            _, _, timer = heapq.heappop(heap)
             if not timer.cancelled:
                 return timer
             self._dead -= 1
+        return None
 
     def step(self) -> bool:
         """Run the single earliest pending event.
@@ -299,7 +209,7 @@ class EventLoop:
             self._ev_counter = metrics.counter("kernel.events")
             self._depth_gauge = metrics.gauge("kernel.queue_depth")
         self._ev_counter.inc()
-        self._depth_gauge.set(self._size)
+        self._depth_gauge.set(len(self._heap))
         callback = timer.callback
         tracer = obs.tracer
         hooks = obs.hooks
@@ -317,7 +227,7 @@ class EventLoop:
             # ``depth`` counts raw queue entries (cancelled tombstones
             # included) so the read stays O(1).
             obs.emit("kernel.event", now=self._now, callback=name,
-                     processed=self._processed, depth=self._size)
+                     processed=self._processed, depth=len(self._heap))
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
@@ -349,20 +259,14 @@ class EventLoop:
         return ran
 
     def _peek_due(self) -> Optional[Timer]:
-        near = self._near
-        while True:
-            if not near:
-                self._pull_far()
-                near = self._near
-                if not near:
-                    return None
-            _, _, timer = near[0]
-            if timer.cancelled:
-                heapq.heappop(near)
-                self._size -= 1
-                self._dead -= 1
-                continue
-            return timer
+        heap = self._heap
+        while heap:
+            timer = heap[0][2]
+            if not timer.cancelled:
+                return timer
+            heapq.heappop(heap)
+            self._dead -= 1
+        return None
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Drain the whole queue; guard against runaway loops via max_events."""

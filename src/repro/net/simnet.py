@@ -641,11 +641,11 @@ class Link:
 
     def _retune(self, now: float) -> None:
         """(Re)schedule the completion tick at the earliest head finish."""
+        if self._tick_timer is not None:
+            self._tick_timer.cancel()
+            self._tick_timer = None
         active = [f for f in self._flows.values() if f.jobs]
         if not active:
-            if self._tick_timer is not None and self._tick_timer.active:
-                self._tick_timer.cancel()
-            self._tick_timer = None
             # Drained: the next lone flow takes the uncontended fast path.
             self._contended = False
             return
@@ -661,10 +661,7 @@ class Link:
         floor = now + max(self._EPS, abs(now) * 1e-12)
         if due < floor:
             due = floor
-        if self._tick_timer is not None and self._tick_timer.active:
-            self._tick_timer = self._loop.reschedule(self._tick_timer, due)
-        else:
-            self._tick_timer = self._loop.call_at(due, self._bulk_tick)
+        self._tick_timer = self._loop.call_at(due, self._bulk_tick)
 
     def set_bandwidth(self, bandwidth_mbps: float,
                       now: Optional[float] = None) -> None:
