@@ -235,7 +235,8 @@ class EventLoop:
 
         ``until`` is inclusive: events due exactly at ``until`` run, and on
         exit the clock is advanced to ``until`` even if the queue drained
-        earlier (so idle time is observable).
+        earlier (so idle time is observable) -- unless ``max_events``
+        stopped the loop with events due by ``until`` still queued.
         """
         if self._running:
             raise SimulationError("event loop is re-entrant: run() called from a callback")
@@ -255,7 +256,10 @@ class EventLoop:
         finally:
             self._running = False
         if until is not None and until > self._now:
-            self._now = until
+            # The clock must not pass an event the budget left queued.
+            timer = self._peek_due()
+            if timer is None or timer.due > until:
+                self._now = until
         return ran
 
     def _peek_due(self) -> Optional[Timer]:

@@ -93,6 +93,23 @@ def test_run_until_advances_clock_when_queue_drains_early():
     assert loop.now == 100.0
 
 
+def test_run_with_spent_budget_never_moves_the_clock_backwards():
+    """Regression: a spent ``max_events`` budget still set the clock to
+    ``until``, and the next event then set it back to its due time.  The
+    clock still advances when nothing left queued is due by ``until``."""
+    loop = EventLoop()
+    seen = []
+    for due in (10.0, 20.0, 30.0, 200.0):
+        loop.call_at(due, lambda: seen.append(loop.now))
+    loop.run(until=15.0, max_events=1)   # next event is after until
+    seen.append(loop.now)
+    loop.run(until=100.0, max_events=1)  # next event is due by until
+    seen.append(loop.now)
+    loop.run(until=100.0)
+    seen.append(loop.now)
+    assert seen == [10.0, 15.0, 20.0, 20.0, 30.0, 100.0]
+
+
 def test_advance_runs_due_events_and_moves_clock():
     loop = EventLoop()
     fired = []
