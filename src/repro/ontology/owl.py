@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.ontology.triples import Graph, Literal, Term, Triple
+from repro.ontology.triples import Graph, Literal, Term
 from repro.ontology.vocabulary import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
@@ -169,15 +169,6 @@ class Ontology:
                 obj = t.object
             triples.append([t.subject, t.predicate, obj])
         return {"prefix": self.default_prefix, "triples": triples}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Ontology":
-        onto = cls(data.get("prefix", "imcl"))
-        for subject, predicate, obj in data["triples"]:
-            if isinstance(obj, dict):
-                obj = Literal(obj["value"], obj.get("datatype", ""))
-            onto.graph.add(Triple(subject, predicate, obj))
-        return onto
 
     def merge(self, other: "Ontology") -> None:
         """Absorb another ontology's triples."""

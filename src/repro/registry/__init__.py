@@ -39,7 +39,6 @@ from repro.registry.registry import (
     RegistryServer,
     install_registry,
 )
-from repro.registry.store import load_registry, save_registry
 
 __all__ = [
     "ApplicationRecord",
@@ -59,6 +58,4 @@ __all__ = [
     "ResourceRecord",
     "WRITE_OPERATIONS",
     "install_registry",
-    "load_registry",
-    "save_registry",
 ]

@@ -133,14 +133,6 @@ def test_base_ontology_classes_exist():
         assert expected in classes
 
 
-def test_ontology_roundtrip_through_dict():
-    onto = base_resource_ontology()
-    onto.individual("imcl:hp", "imcl:Printer", {"imcl:ppm": 30})
-    restored = Ontology.from_dict(onto.to_dict())
-    assert len(restored.graph) == len(onto.graph)
-    assert restored.get_value("imcl:hp", "imcl:ppm") == 30
-
-
 def test_ontology_size_bytes_positive():
     onto = base_resource_ontology()
     assert onto.size_bytes() > 0
