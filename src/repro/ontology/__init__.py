@@ -21,7 +21,7 @@ Python:
 from repro.ontology.matching import MatchResult, ResourceMatcher
 from repro.ontology.owl import Ontology
 from repro.ontology.query import Query, select
-from repro.ontology.reasoner import Derivation, ForwardChainingReasoner, InferredGraph
+from repro.ontology.reasoner import Derivation, ForwardChainingReasoner
 from repro.ontology.rules import (
     Builtin,
     BuiltinCall,
@@ -43,7 +43,6 @@ __all__ = [
     "ForwardChainingReasoner",
     "Graph",
     "IMCL",
-    "InferredGraph",
     "Literal",
     "MatchResult",
     "Namespace",

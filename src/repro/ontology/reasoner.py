@@ -264,42 +264,3 @@ class ForwardChainingReasoner:
     def explain(self, triple: Triple) -> Optional[Derivation]:
         """The derivation that first produced ``triple`` (None if asserted)."""
         return self.derivations.get(triple)
-
-
-class InferredGraph:
-    """Convenience bundle: asserted graph + rules, queried post-inference.
-
-    Re-runs inference lazily after mutations::
-
-        ig = InferredGraph(graph, rules)
-        ig.holds(s, p, o)      # checks the inferred closure
-    """
-
-    def __init__(self, graph: Graph, rules: RuleSet, schema: bool = True):
-        self.asserted = graph
-        self.reasoner = ForwardChainingReasoner(rules, schema=schema)
-        self._closure: Optional[Graph] = None
-
-    def invalidate(self) -> None:
-        """Call after mutating the asserted graph."""
-        self._closure = None
-
-    def assert_(self, subject: str, predicate: str, obj) -> None:
-        self.asserted.assert_(subject, predicate, obj)
-        self.invalidate()
-
-    @property
-    def closure(self) -> Graph:
-        if self._closure is None:
-            self._closure = self.reasoner.run(self.asserted)
-        return self._closure
-
-    def holds(self, subject: str, predicate: str, obj) -> bool:
-        return self.closure.holds(subject, predicate, obj)
-
-    def match(self, subject=None, predicate=None, obj=None):
-        return self.closure.match(subject, predicate, obj)
-
-    def explain(self, triple: Triple) -> Optional[Derivation]:
-        self.closure  # ensure inference ran
-        return self.reasoner.explain(triple)

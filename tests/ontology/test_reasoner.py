@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ontology.reasoner import ForwardChainingReasoner, InferredGraph
+from repro.ontology.reasoner import ForwardChainingReasoner
 from repro.ontology.rules import parse_rules
 from repro.ontology.triples import Graph, Literal, Triple
 
@@ -142,22 +142,6 @@ def test_rule_firings_counted():
     reasoner = ForwardChainingReasoner(rules, schema=False)
     reasoner.run(paper_fact_base())
     assert reasoner.rule_firings > 0
-
-
-class TestInferredGraph:
-    def test_lazy_closure_and_invalidate(self):
-        rules = parse_rules(PAPER_RULES)
-        ig = InferredGraph(paper_fact_base(), rules, schema=False)
-        assert ig.holds("imcl:hpSrc", "imcl:compatible", "imcl:hpDest")
-        # slow network added -> still compatible, but no new actions expected
-        ig.assert_("imcl:net2", "imcl:responseTime", Literal(2000.0, "xsd:double"))
-        assert ig.holds("imcl:hpSrc", "imcl:compatible", "imcl:hpDest")
-
-    def test_explain_via_inferred_graph(self):
-        rules = parse_rules(PAPER_RULES)
-        ig = InferredGraph(paper_fact_base(), rules, schema=False)
-        d = ig.explain(Triple("imcl:hpSrc", "imcl:compatible", "imcl:hpDest"))
-        assert d is not None and d.rule_name == "Rule2"
 
 
 class TestNoValue:
