@@ -104,14 +104,59 @@ def _author_base_taxonomy() -> Tuple[Triple, ...]:
 #: (and so the same hash-seed independence) as the authoring code's.
 _BASE_TAXONOMY: Tuple[Triple, ...] = _author_base_taxonomy()
 
+#: The one base graph and its schema closure, built at import and never
+#: written: only :class:`_BaseTaxonomyGraph` reads the graph's indexes, and
+#: it copies them before its first write.
+_BASE_SCHEMA = SchemaReasoner(Graph(_BASE_TAXONOMY))
+
+
+class _BaseTaxonomyGraph(Graph):
+    """The base taxonomy, read from the shared base graph until the first
+    ``add`` or ``remove``.
+
+    That write first replays :data:`_BASE_TAXONOMY` in authoring order
+    into indexes of this graph's own, so every index iterates as a fresh
+    ``Graph(_BASE_TAXONOMY)``'s would.  ``schema_writes`` counts only the
+    hierarchy writes made since the base: while it is 0, the base's closure
+    holds for this graph.
+    """
+
+    def __init__(self) -> None:
+        base = _BASE_SCHEMA.graph
+        self._triples, self._spo = base._triples, base._spo
+        self._pos, self._osp = base._pos, base._osp
+        self.schema_writes = 0
+        #: True until the first write gives this graph its own indexes.
+        self.reads_base = True
+
+    def _own_indexes(self) -> None:
+        self.reads_base = False
+        Graph.__init__(self, _BASE_TAXONOMY)
+        self.schema_writes = 0
+
+    def add(self, triple: Triple) -> bool:
+        if self.reads_base:
+            if triple in self._triples:
+                return False
+            self._own_indexes()
+        return super().add(triple)
+
+    def remove(self, triple: Triple) -> bool:
+        if self.reads_base:
+            if triple not in self._triples:
+                return False
+            self._own_indexes()
+        return super().remove(triple)
+
 
 def base_resource_ontology() -> Ontology:
     """The shared upper taxonomy every MDAgent deployment starts from.
 
-    Each call returns a fresh graph built from the once-authored triples,
-    so a caller may mutate its copy without touching anyone else's.
+    Each call returns a graph that reads the one base graph until its first
+    write and then copies it, so a caller may mutate its graph without
+    touching anyone else's.
     """
-    return Ontology("imcl", Graph(_BASE_TAXONOMY))
+    return Ontology("imcl", _BaseTaxonomyGraph())
 
 
 @dataclass
@@ -135,23 +180,31 @@ class ResourceMatcher:
     The matcher operates on the *inferred* class structure, so declaring
     ``hpLaserJet ⊑ Printer`` is enough for an ``hpLaserJet`` instance to be
     compatible with any other printer.
+
+    Its subclass closure is rebuilt only when the graph's hierarchy
+    triples have changed since the last build (``Graph.schema_writes``);
+    ``rdf:type`` facts are read live, so registering or removing an
+    individual costs no rebuild.  A graph that still holds the base
+    taxonomy's hierarchy reuses the base's closure.
     """
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
         #: The subsumption index, built by the first query that needs it.
         self._reasoner: Optional[SchemaReasoner] = None
-
-    def refresh(self) -> None:
-        """Invalidate the subsumption index after ontology mutation; the
-        next query rebuilds it from the graph as it is then."""
-        self._reasoner = None
+        #: The graph's ``schema_writes`` when the index was built.
+        self._schema_writes = 0
 
     # -- classification ------------------------------------------------------
 
     def _types_of(self, individual: str) -> Set[str]:
-        if self._reasoner is None:
-            self._reasoner = SchemaReasoner(self.ontology.graph)
+        graph = self.ontology.graph
+        if self._reasoner is None or self._schema_writes != graph.schema_writes:
+            if isinstance(graph, _BaseTaxonomyGraph) and not graph.schema_writes:
+                self._reasoner = _BASE_SCHEMA.over(graph)
+            else:
+                self._reasoner = SchemaReasoner(graph)
+            self._schema_writes = graph.schema_writes
         return self._reasoner.types_of(individual)
 
     def semantic_classes(self, individual: str) -> Set[str]:

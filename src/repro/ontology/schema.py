@@ -16,6 +16,7 @@ graph untouched) and answers subsumption queries.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Set
 
 from repro.ontology.triples import Graph, Literal, Triple
@@ -60,6 +61,13 @@ class SchemaReasoner:
         self.graph = graph
         self._subclass = self._closure_of(RDFS_SUBCLASSOF, OWL_EQUIVALENT_CLASS)
         self._subproperty = self._closure_of(RDFS_SUBPROPERTYOF)
+
+    def over(self, graph: Graph) -> "SchemaReasoner":
+        """This reasoner's closure, reading ``graph``'s facts: valid while
+        ``graph`` holds the same hierarchy triples as :attr:`graph`."""
+        reasoner = copy.copy(self)
+        reasoner.graph = graph
+        return reasoner
 
     def _closure_of(self, predicate: str, equivalence: str = "") -> Dict[str, Set[str]]:
         edges: Dict[str, Set[str]] = {}

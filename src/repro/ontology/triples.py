@@ -11,6 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Optional, Set, Union
 
+from repro.ontology.vocabulary import (
+    OWL_EQUIVALENT_CLASS,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+)
+
+#: The predicates of a graph's class and property hierarchy: the triples
+#: a schema closure (:class:`repro.ontology.schema.SchemaReasoner`) reads.
+SCHEMA_PREDICATES = frozenset({RDFS_SUBCLASSOF, OWL_EQUIVALENT_CLASS,
+                               RDFS_SUBPROPERTYOF})
+
 
 @dataclass(frozen=True)
 class Literal:
@@ -85,6 +96,9 @@ class Graph:
         self._spo: Dict[str, Dict[str, Set[Term]]] = {}
         self._pos: Dict[str, Dict[Term, Set[str]]] = {}
         self._osp: Dict[Term, Dict[str, Set[str]]] = {}
+        #: Hierarchy triples (:data:`SCHEMA_PREDICATES`) added or removed so
+        #: far: a schema closure built over this graph holds until it moves.
+        self.schema_writes = 0
         if triples is not None:
             for triple in triples:
                 self.add(triple)
@@ -100,6 +114,8 @@ class Graph:
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        if p in SCHEMA_PREDICATES:
+            self.schema_writes += 1
         return True
 
     def assert_(self, subject: str, predicate: str, obj: Term) -> bool:
@@ -115,6 +131,8 @@ class Graph:
         self._spo[s][p].discard(o)
         self._pos[p][o].discard(s)
         self._osp[o][s].discard(p)
+        if p in SCHEMA_PREDICATES:
+            self.schema_writes += 1
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:

@@ -182,16 +182,11 @@ class RegistryShard(RegistryCenter):
                                      list(desc.get("classes") or ())
                                      + [marker])
             ghosts.append(resource_id)
-        if ghosts:
-            self.matcher.refresh()
         return ghosts
 
     def _remove_ghosts(self, ghosts: List[str]) -> None:
-        if not ghosts:
-            return
         for resource_id in ghosts:
             self._deregister_resource_triples(resource_id)
-        self.matcher.refresh()
 
     def _note_write(self, operation: str, args: Dict[str, Any],
                     removed_host: Optional[str]) -> None:

@@ -162,7 +162,6 @@ class RegistryCenter:
         # Where the resource lives, for OWL-QL-style host-scoped queries.
         self.ontology.graph.assert_(record.resource_id, "imcl:hostedOn",
                                     Literal(record.host))
-        self.matcher.refresh()
 
     def _deregister_resource_triples(self, resource_id: str) -> None:
         graph = self.ontology.graph
@@ -174,7 +173,6 @@ class RegistryCenter:
             return False
         del self._resources[resource_id]
         self._deregister_resource_triples(resource_id)
-        self.matcher.refresh()
         return True
 
     def resource(self, resource_id: str) -> Optional[ResourceRecord]:

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.ontology.matching import (
+    _BASE_TAXONOMY,
     ResourceMatcher,
     _declare_base_taxonomy,
     base_resource_ontology,
 )
 from repro.ontology.owl import Ontology
 from repro.ontology.schema import SchemaReasoner
-from repro.ontology.vocabulary import IMCL
+from repro.ontology.triples import Graph, Literal, Triple
+from repro.ontology.vocabulary import IMCL, RDF_TYPE, RDFS_SUBCLASSOF
 from repro.registry.federation import RegistryShard
 from repro.registry.records import ResourceRecord
 from repro.registry.registry import RegistryCenter
@@ -71,7 +73,6 @@ class TestCompatibility:
     def test_projector_compatible_with_display_class(self, matcher):
         onto = matcher.ontology
         onto.individual("imcl:wallDisplay", "imcl:Display")
-        matcher.refresh()
         assert matcher.compatible("imcl:projector2", "imcl:wallDisplay")
 
 
@@ -99,7 +100,6 @@ class TestMatch:
 
     def test_deterministic_tiebreak(self, matcher):
         matcher.ontology.individual("imcl:aPrinter", "imcl:hpLaserJet")
-        matcher.refresh()
         result = matcher.match("imcl:hpInRoom1",
                                ["imcl:hpInRoom2", "imcl:aPrinter"])
         assert result.candidate == "imcl:aPrinter"  # sorted first, equal score
@@ -202,4 +202,64 @@ def test_matcher_builds_its_closure_once_after_many_registrations(
         assert center.matcher.semantic_classes(f"imcl:p{k}") == \
             {model, "imcl:Printer"}
         assert center.matcher.is_substitutable(f"imcl:p{k}")
+    assert builds == [center.ontology.graph]
+
+
+# -- the copy-on-write base graph and the closure rule ---------------------------
+
+
+def test_centers_read_one_base_until_their_first_write():
+    first, second = RegistryCenter(), RegistryCenter()
+    assert first.ontology.graph._spo is second.ontology.graph._spo
+    first.register_resource(ResourceRecord("imcl:hp1", "h1", ["imcl:Printer"]))
+    assert first.ontology.graph._spo is not second.ontology.graph._spo
+    fresh = Ontology("imcl", Graph(_BASE_TAXONOMY)).to_dict()
+    assert second.ontology.to_dict() == fresh
+    assert index_order(second.ontology.graph) == \
+        index_order(Graph(_BASE_TAXONOMY))
+    assert len(first.ontology) == BASE_TRIPLES + 2
+
+
+def test_a_written_graph_keeps_a_fresh_graphs_index_order():
+    written = base_resource_ontology().graph
+    new = [Triple("imcl:Laser", RDFS_SUBCLASSOF, "imcl:Printer"),
+           Triple("imcl:hp1", RDF_TYPE, "imcl:Laser"),
+           Triple("imcl:hp1", "imcl:hostedOn", Literal("h1"))]
+    for triple in new:
+        assert written.add(triple)
+    fresh = Graph(_BASE_TAXONOMY)
+    for predicate in (RDFS_SUBCLASSOF, RDF_TYPE, "imcl:hostedOn"):
+        added = [t for t in new if t.predicate == predicate]
+        assert list(written.match(None, predicate, None)) == \
+            list(fresh.match(None, predicate, None)) + added
+    # A no-op write leaves a graph on the shared base.
+    untouched = base_resource_ontology().graph
+    assert not untouched.add(_BASE_TAXONOMY[0])
+    assert not untouched.remove(new[0])
+    assert untouched.reads_base
+    assert untouched._spo is base_resource_ontology().graph._spo
+
+
+def test_registering_a_resource_computes_no_closure(monkeypatch):
+    builds = []
+    init = SchemaReasoner.__init__
+
+    def counting_init(self, graph):
+        builds.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(SchemaReasoner, "__init__", counting_init)
+    center = RegistryCenter()
+    center.register_resource(ResourceRecord("imcl:hp1", "h1", ["imcl:Printer"]))
+    center.register_resource(ResourceRecord("imcl:hp2", "h2", ["imcl:Printer"]))
+    assert center.find_compatible("imcl:hp1", "h2").candidate == "imcl:hp2"
+    center.deregister_resource("imcl:hp2")
+    center.register_resource(ResourceRecord("imcl:cam", "h2", ["imcl:Camera"]))
+    assert not center.find_compatible("imcl:hp1", "h2").matched
+    assert builds == []  # the base taxonomy's closure serves every query
+
+    # A new hierarchy triple is seen by the next match, with one rebuild.
+    center.ontology.subclass_of("imcl:Camera", "imcl:Printer")
+    assert center.find_compatible("imcl:hp1", "h2").candidate == "imcl:cam"
+    assert center.find_compatible("imcl:hp1", "h2").candidate == "imcl:cam"
     assert builds == [center.ontology.graph]
