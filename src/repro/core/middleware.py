@@ -265,8 +265,8 @@ class MDAgentMiddleware:
             components=app.component_kinds(),
             interface=InterfaceDescription(
                 app.name,
-                [Operation("suspend"), Operation("resume"),
-                 Operation("update", ["key", "value"])],
+                (Operation("suspend"), Operation("resume"),
+                 Operation("update", ("key", "value"))),
                 binding=f"acl://{self.ma_manager_aid}",
             ),
             device_requirements=dict(app.device_requirements),

@@ -3,25 +3,34 @@ resource registrations.
 
 Records are plain-data serializable (``to_dict`` / ``from_dict``) so they can
 travel over the simulated network between registry replicas and clients.
+:class:`Operation` and :class:`InterfaceDescription` are immutable values
+with tuple fields, so a registry center can keep one instance of each and
+share it between every record that repeats it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 
 class RecordError(ValueError):
     """Raised on malformed records."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operation:
     """One operation in a WSDL-like interface description."""
 
     name: str
-    inputs: List[str] = field(default_factory=list)
-    outputs: List[str] = field(default_factory=list)
+    inputs: Tuple[str, ...] = ()
+    outputs: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.inputs) is not tuple:
+            object.__setattr__(self, "inputs", tuple(self.inputs))
+        if type(self.outputs) is not tuple:
+            object.__setattr__(self, "outputs", tuple(self.outputs))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "inputs": list(self.inputs),
@@ -29,22 +38,24 @@ class Operation:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Operation":
-        return cls(data["name"], list(data.get("inputs", ())),
-                   list(data.get("outputs", ())))
+        return cls(data["name"], tuple(data.get("inputs", ())),
+                   tuple(data.get("outputs", ())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterfaceDescription:
     """A WSDL-like service interface: operations plus a binding address."""
 
     service_name: str
-    operations: List[Operation] = field(default_factory=list)
+    operations: Tuple[Operation, ...] = ()
     binding: str = ""  # e.g. "acl://coordinator@host1"
     description: str = ""
 
     def __post_init__(self) -> None:
         if not self.service_name:
             raise RecordError("service name must be non-empty")
+        if type(self.operations) is not tuple:
+            object.__setattr__(self, "operations", tuple(self.operations))
 
     def operation(self, name: str) -> Optional[Operation]:
         for op in self.operations:
@@ -64,7 +75,8 @@ class InterfaceDescription:
     def from_dict(cls, data: Dict[str, Any]) -> "InterfaceDescription":
         return cls(
             data["service_name"],
-            [Operation.from_dict(op) for op in data.get("operations", ())],
+            tuple([Operation.from_dict(op)
+                   for op in data.get("operations", ())]),
             data.get("binding", ""),
             data.get("description", ""),
         )
@@ -76,16 +88,17 @@ class ApplicationRecord:
 
     app_name: str
     host: str
-    #: Component kinds present at this host, e.g. {"logic", "interface"}.
-    components: List[str] = field(default_factory=list)
+    #: Component kinds present at this host, e.g. ("interface", "logic").
+    components: Tuple[str, ...] = ()
     interface: Optional[InterfaceDescription] = None
-    device_requirements: Dict[str, Any] = field(default_factory=dict)
-    user_preferences: Dict[str, Any] = field(default_factory=dict)
+    device_requirements: Mapping[str, Any] = field(default_factory=dict)
+    user_preferences: Mapping[str, Any] = field(default_factory=dict)
     version: int = 1
 
     def __post_init__(self) -> None:
         if not self.app_name or not self.host:
             raise RecordError("application record needs app_name and host")
+        self.components = tuple(self.components)
 
     def has_component(self, kind: str) -> bool:
         return kind in self.components
@@ -107,7 +120,7 @@ class ApplicationRecord:
         return cls(
             data["app_name"],
             data["host"],
-            list(data.get("components", ())),
+            tuple(data.get("components", ())),
             InterfaceDescription.from_dict(interface) if interface else None,
             dict(data.get("device_requirements", {})),
             dict(data.get("user_preferences", {})),

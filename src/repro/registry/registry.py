@@ -14,7 +14,8 @@ host-side stub with async callbacks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.simnet import Message, Network
 from repro.ontology.matching import MatchResult, ResourceMatcher, base_resource_ontology
@@ -22,7 +23,11 @@ from repro.ontology.owl import Ontology
 from repro.ontology.query import Query
 from repro.ontology.schema import materialize
 from repro.ontology.triples import Literal
-from repro.registry.records import ApplicationRecord, ResourceRecord
+from repro.registry.records import (
+    ApplicationRecord,
+    InterfaceDescription,
+    ResourceRecord,
+)
 
 REGISTRY_PROTOCOL = "registry.rpc"
 #: Approximate wire size of a registry request/response.
@@ -48,6 +53,15 @@ WRITE_OPERATIONS = frozenset({
 
 class RegistryError(RuntimeError):
     """Raised on invalid registry operations."""
+
+
+def _map_key(mapping: Mapping[Any, Any]) -> Tuple[Any, ...]:
+    """The content key of a requirement or preference map: its entries in
+    order, each tagged with its types and the value's repr, so maps that
+    hold ``True``, ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``) never share
+    one instance.  Hashing it raises ``TypeError`` for an unhashable value."""
+    return ("map",) + tuple((type(key), key, type(value), value, repr(value))
+                            for key, value in mapping.items())
 
 
 def cache_key(operation: str, args: Dict[str, Any]) -> str:
@@ -103,11 +117,43 @@ class RegistryCenter:
         self._applications: Dict[str, Dict[str, ApplicationRecord]] = {}
         # resource id -> record
         self._resources: Dict[str, ResourceRecord] = {}
+        #: This center's one instance of each value its application records
+        #: repeat (component kinds, operation lists, bindings, read-only
+        #: requirement and preference maps), keyed by content.
+        self._shared: Dict[Tuple[Any, ...], Any] = {}
         self.lookups = 0
 
     # -- applications -----------------------------------------------------
 
+    def _share_map(self, mapping: Mapping[Any, Any]) -> Mapping[Any, Any]:
+        try:
+            key = _map_key(mapping)
+            shared = self._shared.get(key)
+        except TypeError:  # an unhashable value: a private read-only copy
+            return MappingProxyType(dict(mapping))
+        if shared is None:
+            shared = self._shared[key] = MappingProxyType(dict(mapping))
+        return shared
+
+    def _share_fields(self, record: ApplicationRecord) -> None:
+        """Point ``record`` at this center's instance of each value that
+        other records repeat; the maps become read-only."""
+        share = self._shared.setdefault
+        record.components = share(("components", record.components),
+                                  record.components)
+        interface = record.interface
+        if interface is not None:
+            record.interface = InterfaceDescription(
+                interface.service_name,
+                share(("operations", interface.operations),
+                      interface.operations),
+                share(("binding", interface.binding), interface.binding),
+                interface.description)
+        record.device_requirements = self._share_map(record.device_requirements)
+        record.user_preferences = self._share_map(record.user_preferences)
+
     def register_application(self, record: ApplicationRecord) -> None:
+        self._share_fields(record)
         by_host = self._applications.setdefault(record.app_name, {})
         existing = by_host.get(record.host)
         if existing is not None:

@@ -52,7 +52,7 @@ class TestRecords:
         iface = music_record().interface
         restored = InterfaceDescription.from_dict(iface.to_dict())
         assert restored.service_name == "music-player"
-        assert restored.operation("play").inputs == ["track"]
+        assert restored.operation("play").inputs == ("track",)
         assert restored.operation("missing") is None
 
     def test_application_roundtrip(self):
@@ -75,6 +75,80 @@ class TestRecords:
         assert not record.has_component("data")
 
 
+class TestSharedRecordValues:
+    """A center keeps one instance of each value its records repeat."""
+
+    def test_equal_interfaces_share_one_operations_value(self):
+        center = RegistryCenter()
+        center.register_application(music_record("h1"))
+        center.register_application(
+            ApplicationRecord.from_dict(music_record("h2").to_dict()))
+        first, second = center.lookup_application("music-player")
+        assert first.interface is not second.interface  # bindings differ
+        assert first.interface.operations is second.interface.operations
+        assert first.interface.operations == (
+            Operation("play", ("track",), ("status",)),
+            Operation("stop", (), ("status",)))
+        assert first.components is second.components
+
+    def test_equal_maps_share_one_read_only_mapping(self):
+        center = RegistryCenter()
+        center.register_application(music_record("h1"))
+        center.register_application(music_record("h2"))
+        first, second = center.lookup_application("music-player")
+        assert first.device_requirements is second.device_requirements
+        assert first.user_preferences is second.user_preferences
+        with pytest.raises(TypeError):
+            first.device_requirements["audio_output"] = False
+        assert second.device_requirements == {"audio_output": True}
+
+    def test_records_stay_immutable_values(self):
+        op = Operation("update", ["key", "value"])
+        assert op.inputs == ("key", "value")
+        with pytest.raises(AttributeError):
+            op.name = "other"
+        with pytest.raises(AttributeError):
+            music_record().interface.binding = "acl://elsewhere"
+
+    def test_to_dict_still_emits_lists_and_dicts(self):
+        center = RegistryCenter()
+        center.register_application(music_record("h1"))
+        data = center.dispatch("lookup_application",
+                               {"app_name": "music-player"})[0]
+        assert type(data["components"]) is list
+        assert type(data["device_requirements"]) is dict
+        assert type(data["user_preferences"]) is dict
+        operation = data["interface"]["operations"][0]
+        assert type(data["interface"]["operations"]) is list
+        assert operation == {"name": "play", "inputs": ["track"],
+                             "outputs": ["status"]}
+        assert type(operation["inputs"]) is list
+        assert data == dict(music_record("h1").to_dict(), version=1)
+
+    def test_true_one_and_one_point_zero_stay_distinct(self):
+        center = RegistryCenter()
+        values = [True, 1, 1.0, 0.0, -0.0, (1,), (True,)]
+        for k, value in enumerate(values):
+            center.register_application(ApplicationRecord(
+                "app", f"h{k}", device_requirements={"x": value}))
+        stored = [center.lookup_application("app", f"h{k}")[0]
+                  .device_requirements["x"] for k in range(len(values))]
+        assert [repr(v) for v in stored] == [repr(v) for v in values]
+        assert [type(v) for v in stored] == [type(v) for v in values]
+
+    def test_unhashable_value_keeps_a_private_read_only_copy(self):
+        center = RegistryCenter()
+        tracks = ["a", "b"]
+        for host in ("h1", "h2"):
+            center.register_application(ApplicationRecord(
+                "app", host, user_preferences={"playlist": tracks}))
+        first, second = center.lookup_application("app")
+        assert first.user_preferences is not second.user_preferences
+        assert first.user_preferences == {"playlist": ["a", "b"]}
+        with pytest.raises(TypeError):
+            first.user_preferences["playlist"] = []
+
+
 class TestRegistryCenter:
     def test_register_and_lookup(self):
         center = RegistryCenter()
@@ -82,7 +156,7 @@ class TestRegistryCenter:
         center.register_application(music_record("h2", components=("interface",)))
         assert len(center.lookup_application("music-player")) == 2
         assert center.lookup_application("music-player", host="h2")[0] \
-            .components == ["interface"]
+            .components == ("interface",)
         assert center.application_hosts("music-player") == ["h1", "h2"]
 
     def test_lookup_missing(self):
