@@ -305,7 +305,7 @@ class MigrationPipeline:
 
     def __init__(self, name: str, phases: Sequence[MiddlewarePhase]):
         self.name = name
-        self.phases: List[MiddlewarePhase] = list(phases)
+        self.phases: Tuple[MiddlewarePhase, ...] = tuple(phases)
 
     def start(self, ctx: MigrationContext) -> MigrationContext:
         self._advance(ctx)
@@ -1043,6 +1043,11 @@ class PrestageFinishPhase(MiddlewarePhase):
 MIGRATION_PROTOCOLS = ("direct", "fipa")
 
 
+def _unknown_protocol(protocol: str) -> PipelineError:
+    return PipelineError(f"unknown migration protocol {protocol!r} "
+                         f"(expected one of {MIGRATION_PROTOCOLS})")
+
+
 def migration_phases(protocol: str = "direct"
                      ) -> Tuple[MiddlewarePhase, ...]:
     """The ordered phase objects of one migration stack."""
@@ -1051,23 +1056,33 @@ def migration_phases(protocol: str = "direct"
     elif protocol == "fipa":
         negotiation = FipaNegotiationPhase()
     else:
-        raise PipelineError(f"unknown migration protocol {protocol!r} "
-                            f"(expected one of {MIGRATION_PROTOCOLS})")
+        raise _unknown_protocol(protocol)
     return (AdmissionPhase(), PlanningPhase(), negotiation, SuspendPhase(),
             CapturePhase(), TransferPhase(), CheckinPhase(), RebindPhase(),
             PowerUpPhase())
 
 
+#: The three stacks, built once at import.  Phases keep no state of their
+#: own (a migration's state lives in its :class:`MigrationContext`, its
+#: failpoints on the middleware), so every host shares them.
+_MIGRATION_PIPELINES: Dict[str, MigrationPipeline] = {
+    protocol: MigrationPipeline(f"migration/{protocol}",
+                                migration_phases(protocol))
+    for protocol in MIGRATION_PROTOCOLS
+}
+_PRESTAGE_PIPELINE = MigrationPipeline("prestage/direct", (
+    PrestageAdmissionPhase(), PrestagePlanningPhase(), PackPhase(),
+    PrestageTransferPhase(), InstallPhase(), PrestageFinishPhase()))
+
+
 def build_migration_pipeline(config) -> MigrationPipeline:
     """The migration stack for one middleware config."""
     protocol = getattr(config, "migration_protocol", "direct")
-    return MigrationPipeline(f"migration/{protocol}",
-                             migration_phases(protocol))
+    if protocol not in _MIGRATION_PIPELINES:
+        raise _unknown_protocol(protocol)
+    return _MIGRATION_PIPELINES[protocol]
 
 
 def build_prestage_pipeline(config) -> MigrationPipeline:
     """The pre-staging stack (always direct: it ships code, not state)."""
-    phases = (PrestageAdmissionPhase(), PrestagePlanningPhase(),
-              PackPhase(), PrestageTransferPhase(), InstallPhase(),
-              PrestageFinishPhase())
-    return MigrationPipeline("prestage/direct", phases)
+    return _PRESTAGE_PIPELINE

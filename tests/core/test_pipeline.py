@@ -79,3 +79,38 @@ class TestPipelineConstruction:
         assert {p["phase"] for p in phases
                 if p["pipeline"] == "prestage/direct"} == {
             "admission", "planning", "pack", "transfer", "install", "finish"}
+
+
+class TestSharedStacks:
+    """Phases keep no state, so the three stacks are built once."""
+
+    def test_builders_return_one_stack_per_protocol(self):
+        class Config:
+            migration_protocol = "fipa"
+
+        assert build_migration_pipeline(Config()) is \
+            build_migration_pipeline(Config())
+        assert build_prestage_pipeline(Config()) is \
+            build_prestage_pipeline(None)
+        Config.migration_protocol = "jade"
+        with pytest.raises(PipelineError):
+            build_migration_pipeline(Config())
+
+    def test_a_failpoint_on_one_middleware_never_fires_on_another(self):
+        d = Deployment(seed=1)
+        d.add_space("lab")
+        first = d.add_host("host1", "lab")
+        second = d.add_host("host2", "lab")
+        d.add_host("host3", "lab")
+        assert first.migration_pipeline is second.migration_pipeline
+        assert first.prestage_pipeline is second.prestage_pipeline
+        for host, app in ((first, "a"), (second, "b")):
+            host.launch_application(
+                MusicPlayerApp.build(app, "ann", track_bytes=40_000))
+        d.run_all()
+        first.pipeline_failpoints = frozenset({"capture"})
+        failed = first.migrate("a", "host3")
+        moved = second.migrate("b", "host3")
+        d.run_all()
+        assert failed.failed and "capture" in failed.failure_reason
+        assert moved.completed and not moved.failed
