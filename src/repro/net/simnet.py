@@ -640,13 +640,15 @@ class Link:
         self._retune(now)
 
     def _retune(self, now: float) -> None:
-        """(Re)schedule the completion tick at the earliest head finish."""
-        if self._tick_timer is not None:
-            self._tick_timer.cancel()
-            self._tick_timer = None
+        """(Re)schedule the completion tick at the earliest head finish; a
+        pending tick already due then is kept."""
+        tick = self._tick_timer
         active = [f for f in self._flows.values() if f.jobs]
         if not active:
             # Drained: the next lone flow takes the uncontended fast path.
+            if tick is not None:
+                tick.cancel()
+                self._tick_timer = None
             self._contended = False
             return
         rate = self.bandwidth_mbps * 125.0 / len(active)
@@ -661,6 +663,10 @@ class Link:
         floor = now + max(self._EPS, abs(now) * 1e-12)
         if due < floor:
             due = floor
+        if tick is not None:
+            if tick.active and tick.due == due:
+                return
+            tick.cancel()
         self._tick_timer = self._loop.call_at(due, self._bulk_tick)
 
     def set_bandwidth(self, bandwidth_mbps: float,

@@ -125,6 +125,23 @@ def test_bandwidth_change_retunes_contended_flows():
     assert r2.delivered_at == pytest.approx(301.0)
 
 
+def test_retune_to_an_unchanged_due_books_and_cancels_nothing():
+    """A message queued behind a contended flow's head leaves the earliest
+    head finish where it was: the pending completion tick stays booked."""
+    loop, net = make_pair(bandwidth=10.0, latency=1.0)
+    link = net.link_between("h1", "h2")
+    net.send("h1", "h2", "test.bulk", b"", 125_000)
+    net.send("h2", "h1", "test.bulk", b"", 125_000)
+    tick, queued = link._tick_timer, (loop.heap_depth, loop.pending)
+    assert tick.active and tick.due == pytest.approx(200.0)
+    late = net.send("h1", "h2", "test.bulk", b"", 12_500)
+    assert link._tick_timer is tick and tick.active
+    assert (loop.heap_depth, loop.pending) == queued
+    loop.run()
+    # Both heads finish at 200 ms; the late message then has the wire.
+    assert late.delivered_at == pytest.approx(211.0)
+
+
 def test_zero_byte_bulk_message_under_contention_completes():
     loop, net = make_pair(bandwidth=10.0, latency=3.0)
     big = net.send("h1", "h2", "test.bulk", b"", 125_000)
