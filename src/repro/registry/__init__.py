@@ -12,8 +12,7 @@ format." (paper §4.2.2.)
   remote lookups pay real (simulated) round trips.
 - :mod:`repro.registry.federation` -- the federated architecture: per-space
   :class:`RegistryShard` s, aggregating :class:`FederationNode` s that fan
-  cross-space lookups out over the network, coherence-token TTL caches and
-  lease-based expiry for crashed hosts.
+  cross-space lookups out over the network, and coherence-token TTL caches.
 """
 
 from repro.registry.federation import (

@@ -1,4 +1,4 @@
-"""Federated registry: per-space shards, gateway aggregation, leases.
+"""Federated registry: per-space shards and gateway aggregation.
 
 The paper's registry center (§4.2.2) is a single jUDDI+MySQL node; the
 flat :class:`~repro.registry.registry.RegistryCenter` reproduces it
@@ -7,9 +7,8 @@ the first scaling wall at city size.  This module federates it without
 changing the RPC surface:
 
 * :class:`RegistryShard` -- a ``RegistryCenter`` that owns one smart
-  space's registrations, with lease bookkeeping so records from crashed
-  hosts expire on sim-time timers instead of lingering until explicit
-  cleanup.
+  space's registrations.  As in the flat center, a record stays until
+  something deregisters it, whether or not its host is online.
 * :class:`FederationNode` -- the per-host network endpoint.  One host
   can serve several shards (a hub gateway aggregating its homes) and
   optionally act as an aggregator: global operations fan out to every
@@ -21,8 +20,8 @@ changing the RPC surface:
   invalidating app-lifecycle event (the PR 5 prestaging seam) bumps the
   token, so a stale entry can never be served even inside its TTL.
 * :class:`RegistryFederation` -- the deployment-level coordinator:
-  shard/aggregator placement, generation + lifecycle-epoch state,
-  leases, and per-host clients.
+  shard/aggregator placement, generation + lifecycle-epoch state and
+  per-host clients.
 
 Correctness contract: on the same population, every federated lookup
 returns byte-identical results to the flat center -- proven by the
@@ -115,50 +114,28 @@ def merge_results(operation: str, args: Dict[str, Any],
 
 
 class RegistryShard(RegistryCenter):
-    """A registry center owning one space's records, with leases.
+    """A registry center owning one space's records.
 
-    Every write flows through :meth:`dispatch` so the federation sees it
-    (``on_write`` bumps coherence generations) and lease bookkeeping
-    stays consistent.  With leases enabled, each record carries an
-    expiry deadline; a single next-expiry timer deregisters overdue
-    records through the normal write path, so expiry invalidates caches
-    exactly like an explicit deregistration would.
+    Every write flows through :meth:`dispatch`, which then tells the
+    federation (``on_write`` bumps coherence generations).
     """
 
-    def __init__(self, space: str = "", ontology=None):
-        super().__init__(ontology)
+    def __init__(self, space: str):
+        super().__init__()
         self.space = space
-        #: ``fn(space, operation, args, removed_host)`` after every write.
+        #: ``fn(space, operation, args)`` after every write.
         self.on_write: Optional[Callable[..., None]] = None
-        #: ``fn(space, kind, name, host)`` after a lease expiry fired.
-        self.on_lease_expired: Optional[Callable[..., None]] = None
-        self.lease_ms = 0.0
-        self.clock: Optional[Callable[[], float]] = None
-        self.schedule: Optional[Callable[[float, Callable[[], None]], Any]] = None
-        # ("app"|"res", name, host) -> expiry sim-time
-        self._leases: Dict[Tuple[str, str, str], float] = {}
-        self._lease_timer: Any = None
-        self._lease_timer_at: Optional[float] = None
-        self.leases_expired = 0
-
-    # -- write path ---------------------------------------------------------
 
     def dispatch(self, operation: str, args: Dict[str, Any]) -> Any:
         ghosts: List[str] = []
         if operation in MATCHING_OPERATIONS:
             ghosts = self._install_ghosts(args.pop(_REQUIRED_INFO, None))
-        removed_host = None
-        if operation == "deregister_resource":
-            # The record is gone after dispatch; capture its host now so
-            # lease bookkeeping can find the right key.
-            record = self._resources.get(args.get("resource_id"))
-            removed_host = record.host if record is not None else None
         try:
             result = super().dispatch(operation, args)
         finally:
             self._remove_ghosts(ghosts)
-        if operation in WRITE_OPERATIONS:
-            self._note_write(operation, args, removed_host)
+        if operation in WRITE_OPERATIONS and self.on_write is not None:
+            self.on_write(self.space, operation, args)
         return result
 
     def _install_ghosts(self, info: Optional[Dict[str, Any]]) -> List[str]:
@@ -187,119 +164,6 @@ class RegistryShard(RegistryCenter):
     def _remove_ghosts(self, ghosts: List[str]) -> None:
         for resource_id in ghosts:
             self._deregister_resource_triples(resource_id)
-
-    def _note_write(self, operation: str, args: Dict[str, Any],
-                    removed_host: Optional[str]) -> None:
-        if operation == "register_application":
-            self._stamp(("app", args["record"]["app_name"],
-                         args["record"]["host"]))
-        elif operation == "deregister_application":
-            self._leases.pop(("app", args["app_name"], args["host"]), None)
-        elif operation == "register_resource":
-            resource_id = args["record"]["resource_id"]
-            host = args["record"]["host"]
-            # A re-registration may move the resource to another host;
-            # drop the old lease key or its expiry would deregister the
-            # moved record.
-            for key in [k for k in self._leases
-                        if k[0] == "res" and k[1] == resource_id
-                        and k[2] != host]:
-                del self._leases[key]
-            self._stamp(("res", resource_id, host))
-        elif operation == "deregister_resource" and removed_host is not None:
-            self._leases.pop(("res", args["resource_id"], removed_host), None)
-        if self.on_write is not None:
-            self.on_write(self.space, operation, args, removed_host)
-
-    # -- leases -------------------------------------------------------------
-
-    def enable_leases(self, lease_ms: float, clock: Callable[[], float],
-                      schedule: Callable[[float, Callable[[], None]], Any]
-                      ) -> None:
-        if lease_ms <= 0:
-            raise RegistryError(f"lease_ms must be positive: {lease_ms}")
-        self.lease_ms = float(lease_ms)
-        self.clock = clock
-        self.schedule = schedule
-        deadline = clock() + self.lease_ms
-        for app_name, by_host in self._applications.items():
-            for host in by_host:
-                self._leases[("app", app_name, host)] = deadline
-        for resource_id, record in self._resources.items():
-            self._leases[("res", resource_id, record.host)] = deadline
-        self._arm()
-
-    def _stamp(self, key: Tuple[str, str, str]) -> None:
-        if self.lease_ms > 0 and self.clock is not None:
-            self._leases[key] = self.clock() + self.lease_ms
-            self._arm()
-
-    def renew_host(self, host: str) -> int:
-        """Extend every lease owned by ``host`` (its keep-alive)."""
-        if self.lease_ms <= 0 or self.clock is None:
-            return 0
-        deadline = self.clock() + self.lease_ms
-        renewed = 0
-        for key in self._leases:
-            if key[2] == host:
-                self._leases[key] = deadline
-                renewed += 1
-        return renewed
-
-    def lease_deadlines(self) -> Dict[Tuple[str, str, str], float]:
-        return dict(self._leases)
-
-    def _arm(self) -> None:
-        if self.schedule is None or self.clock is None:
-            return
-        if not self._leases:
-            if self._lease_timer is not None:
-                self._lease_timer.cancel()
-                self._lease_timer = None
-                self._lease_timer_at = None
-            return
-        due = min(self._leases.values())
-        if (self._lease_timer is not None and self._lease_timer_at is not None
-                and self._lease_timer_at <= due + 1e-9):
-            return  # an earlier (or equal) timer already covers this
-        if self._lease_timer is not None:
-            self._lease_timer.cancel()
-        self._lease_timer_at = due
-        self._lease_timer = self.schedule(max(0.0, due - self.clock()),
-                                          self._on_lease_timer)
-
-    def _on_lease_timer(self) -> None:
-        self._lease_timer = None
-        self._lease_timer_at = None
-        self.expire_due()
-        self._arm()
-
-    def disarm_leases(self) -> None:
-        """Stop active expiry (when renewals end, state freezes)."""
-        self.schedule = None
-        if self._lease_timer is not None:
-            self._lease_timer.cancel()
-            self._lease_timer = None
-            self._lease_timer_at = None
-
-    def expire_due(self) -> int:
-        """Deregister every record whose lease deadline has passed."""
-        if self.clock is None:
-            return 0
-        now = self.clock()
-        due = sorted(key for key, deadline in self._leases.items()
-                     if deadline <= now)
-        for kind, name, host in due:
-            self._leases.pop((kind, name, host), None)
-            if kind == "app":
-                self.dispatch("deregister_application",
-                              {"app_name": name, "host": host})
-            else:
-                self.dispatch("deregister_resource", {"resource_id": name})
-            self.leases_expired += 1
-            if self.on_lease_expired is not None:
-                self.on_lease_expired(self.space, kind, name, host)
-        return len(due)
 
 
 class _FanoutBatch:
@@ -571,21 +435,20 @@ class FederationNode:
 class FederatedRegistryClient(RegistryClient):
     """Host-side stub routing each call to the owning shard.
 
-    Reads are cached for ``cache_ttl_ms`` of simulated time; each entry
-    stores the coherence token current when the request was *issued*
-    (conservative: a write landing mid-flight invalidates the entry).
+    Reads are cached for the federation's ``cache_ttl_ms`` of simulated
+    time; each entry stores the coherence token current when the request
+    was *issued* (conservative: a write landing mid-flight invalidates
+    the entry).
     A hit requires both an unexpired TTL and a current token, so writes
     and invalidating lifecycle events take effect immediately -- the
     event-driven invalidation the flat ``CachingRegistryClient`` lacked.
     """
 
     def __init__(self, network: Network, host_name: str,
-                 federation: "RegistryFederation",
-                 cache_ttl_ms: float = 2_000.0):
+                 federation: "RegistryFederation"):
         server = federation.fallback_host or host_name
         super().__init__(network, host_name, server)
         self.federation = federation
-        self.cache_ttl_ms = float(cache_ttl_ms)
         # key -> (expires_at, token, value)
         self._cache: Dict[str, Tuple[float, Any, Any]] = {}
         self.cache_hits = 0
@@ -599,7 +462,7 @@ class FederatedRegistryClient(RegistryClient):
         federation = self.federation
         loop = self.network.loop
         target, space = federation.route(self.host_name, operation, args)
-        if operation in READ_OPERATIONS and self.cache_ttl_ms > 0:
+        if operation in READ_OPERATIONS and federation.cache_ttl_ms > 0:
             key = cache_key(operation, args)
             token = federation.cache_token(operation, args)
             entry = self._cache.get(key)
@@ -620,8 +483,8 @@ class FederatedRegistryClient(RegistryClient):
             def remember(result: Any, error: Optional[str],
                          _key: str = key, _token: Any = token) -> None:
                 if error is None:
-                    self._cache[_key] = (loop.now + self.cache_ttl_ms,
-                                         _token, result)
+                    self._cache[_key] = (
+                        loop.now + federation.cache_ttl_ms, _token, result)
                 inner(result, error)
 
             callback = remember
@@ -706,9 +569,8 @@ class RegistryFederation:
 
     Owns shard/aggregator placement, the coherence state that drives
     cache invalidation (per-app write generations, per-app lifecycle
-    epochs from the context bus, a global resource generation), lease
-    renewal for online hosts, and one :class:`FederatedRegistryClient`
-    per middleware host.
+    epochs from the context bus, a global resource generation) and one
+    :class:`FederatedRegistryClient` per middleware host.
     """
 
     def __init__(self, deployment, cache_ttl_ms: float = 2_000.0):
@@ -732,9 +594,6 @@ class RegistryFederation:
         #: Sabotage seam for simcheck: drop lifecycle invalidations (the
         #: bus event arrives but the epoch never bumps).
         self.invalidation_disabled = False
-        self.lease_ms = 0.0
-        self._lease_until = 0.0
-        self.leases_expired = 0
 
     # -- installation --------------------------------------------------------
 
@@ -769,14 +628,11 @@ class RegistryFederation:
             raise RegistryError(f"space {label!r} already has a shard")
         shard = RegistryShard(space)
         shard.on_write = self._on_shard_write
-        shard.on_lease_expired = self._on_lease_expired
         node = self.node_for(host_name)
         node.shards[space] = shard
         self.shards[space] = shard
         self.shard_hosts[space] = host_name
         self._shard_order.append(space)
-        if self.lease_ms > 0:
-            shard.enable_leases(self.lease_ms, self._clock, self._schedule)
         return shard
 
     def install_aggregator(self, host_name: str,
@@ -796,9 +652,7 @@ class RegistryFederation:
     def client_for(self, host_name: str) -> FederatedRegistryClient:
         client = self.clients.get(host_name)
         if client is None:
-            client = FederatedRegistryClient(
-                self.network, host_name, self,
-                cache_ttl_ms=self.cache_ttl_ms)
+            client = FederatedRegistryClient(self.network, host_name, self)
             self.clients[host_name] = client
         return client
 
@@ -857,8 +711,7 @@ class RegistryFederation:
         return self._app_epoch.get(app_name, 0)
 
     def _on_shard_write(self, space: str, operation: str,
-                        args: Dict[str, Any],
-                        removed_host: Optional[str]) -> None:
+                        args: Dict[str, Any]) -> None:
         if operation == "register_application":
             app = args["record"]["app_name"]
         elif operation == "deregister_application":
@@ -922,57 +775,6 @@ class RegistryFederation:
         if obs is not None:
             obs.metrics.counter(name).inc()
 
-    # -- leases --------------------------------------------------------------
-
-    def enable_leases(self, lease_ms: float,
-                      horizon_ms: float = 60_000.0) -> None:
-        """Lease every registration; online middleware hosts renew every
-        ``lease_ms / 2`` until the horizon, so records of crashed hosts
-        expire on their own timers."""
-        if lease_ms <= 0:
-            raise RegistryError(f"lease_ms must be positive: {lease_ms}")
-        self.lease_ms = float(lease_ms)
-        self._lease_until = self.loop.now + float(horizon_ms)
-        for shard in self.shards.values():
-            shard.enable_leases(self.lease_ms, self._clock, self._schedule)
-        interval = self.lease_ms / 2.0
-        self.loop.call_later(interval, self._lease_tick, interval)
-
-    def _clock(self) -> float:
-        return self.loop.now
-
-    def _schedule(self, delay_ms: float, fn: Callable[[], None]) -> Any:
-        return self.loop.call_later(delay_ms, fn)
-
-    def _lease_tick(self, interval: float) -> None:
-        for host_name in sorted(self.deployment.middlewares):
-            try:
-                online = self.network.host(host_name).online
-            except Exception:
-                continue
-            if not online:
-                continue
-            shard = self.shards.get(self.space_with_shard(host_name))
-            if shard is not None:
-                shard.renew_host(host_name)
-        if self.loop.now + interval <= self._lease_until:
-            self.loop.call_later(interval, self._lease_tick, interval)
-        else:
-            # Renewals are over: freeze lease state instead of letting
-            # the expiry timers reap every live host's records.
-            for shard in self.shards.values():
-                shard.disarm_leases()
-
-    def _on_lease_expired(self, space: str, kind: str, name: str,
-                          host: str) -> None:
-        self.leases_expired += 1
-        obs = self.loop.observability
-        if obs is not None:
-            obs.metrics.counter("registry.lease_expired").inc()
-            if obs.hooks:
-                obs.emit("fault.lease_expired", scope="registry",
-                         space=space, kind=kind, name=name, host=host)
-
     # -- reporting -----------------------------------------------------------
 
     def total_lookups(self) -> int:
@@ -990,5 +792,4 @@ class RegistryFederation:
             "registry_cache_hits": client_hits + node_hits,
             "registry_cache_misses": client_misses + node_misses,
             "registry_invalidations": self.invalidations,
-            "registry_leases_expired": self.leases_expired,
         }

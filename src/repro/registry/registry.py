@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.simnet import Message, Network
 from repro.ontology.matching import MatchResult, ResourceMatcher, base_resource_ontology
-from repro.ontology.owl import Ontology
 from repro.ontology.query import Query
 from repro.ontology.schema import materialize
 from repro.ontology.triples import Literal
@@ -110,8 +109,8 @@ def observe_lookup_latency(network: Network, latency_ms: float) -> None:
 class RegistryCenter:
     """Application + resource registry with semantic resource matching."""
 
-    def __init__(self, ontology: Optional[Ontology] = None):
-        self.ontology = ontology if ontology is not None else base_resource_ontology()
+    def __init__(self):
+        self.ontology = base_resource_ontology()
         self.matcher = ResourceMatcher(self.ontology)
         # app name -> host -> record
         self._applications: Dict[str, Dict[str, ApplicationRecord]] = {}
@@ -332,11 +331,10 @@ class RegistryCenter:
 class RegistryServer:
     """Hosts a RegistryCenter on a network host and answers RPCs."""
 
-    def __init__(self, network: Network, host_name: str,
-                 center: Optional[RegistryCenter] = None):
+    def __init__(self, network: Network, host_name: str):
         self.network = network
         self.host_name = host_name
-        self.center = center if center is not None else RegistryCenter()
+        self.center = RegistryCenter()
         self.requests_served = 0
         network.host(host_name).register_handler(REGISTRY_PROTOCOL,
                                                  self._on_request)
@@ -533,10 +531,8 @@ class CachingRegistryClient(RegistryClient):
         self._cache.clear()
 
 
-def install_registry(network: Network, host_name: str,
-                     center: Optional[RegistryCenter] = None
-                     ) -> RegistryServer:
+def install_registry(network: Network, host_name: str) -> RegistryServer:
     """Create a RegistryServer and record it for local-client shortcuts."""
-    server = RegistryServer(network, host_name, center)
+    server = RegistryServer(network, host_name)
     network.registry_centers[host_name] = server.center
     return server

@@ -29,10 +29,7 @@ simulation's own conservation laws):
 - **registry message conservation** -- every ``registry.request`` hook
   event is balanced by exactly one ``registry.response`` or
   ``registry.fail`` by quiescence (a leaked in-flight request stays
-  unbalanced);
-- **no zombie leases** -- at quiescence, no registry shard record whose
-  lease deadline has passed is still present while active expiry is
-  armed.
+  unbalanced).
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ VIOLATION_KINDS = (
     "rx-table-leak",
     "non-quiescent",
     "stale-cache-serve",
-    "zombie-lease",
     "registry-conservation",
     "migration-terminal",
 )
@@ -278,7 +274,6 @@ class InvariantChecker:
         self._check_rx_tables()
         self._check_conservation()
         self._check_registry_ledger()
-        self._check_leases()
         self._check_migrations_terminal()
         return self.violations
 
@@ -305,24 +300,6 @@ class InvariantChecker:
                 f"quiescence -- "
                 f"{abs(self._registry_requests - self._registry_answers)} "
                 f"request(s) leaked or double-answered")
-
-    def _check_leases(self) -> None:
-        now = self.deployment.loop.now
-        federation = self.deployment.federation
-        if federation is None:
-            return
-        for space, shard in sorted(federation.shards.items()):
-            if shard.schedule is None:
-                continue  # leases disabled, or frozen past the horizon
-            for key, deadline in sorted(shard.lease_deadlines().items()):
-                if deadline <= now:
-                    kind, name, host = key
-                    self.record(
-                        "zombie-lease",
-                        f"registry {kind} lease {name!r}@{host!r} in "
-                        f"shard {(space or 'fallback')!r} expired at "
-                        f"{deadline:.1f} ms but the record is still "
-                        f"registered", space=space, name=name, host=host)
 
     def _check_bytes(self) -> None:
         net = self.deployment.network

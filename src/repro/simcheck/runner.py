@@ -41,17 +41,14 @@ def behaviour_digest(observability, *deployments) -> str:
     dropped message, every migration's terminal record) with each given
     deployment's totals at quiescence: the byte ledger and per-link
     carried bytes, the receiver and dedup table sizes, registry calls per
-    client, host clock readings, live registry leases, and outcomes that
-    never reached a terminal state.  Tracing, hooks and metric names cannot
-    move it.
+    client, host clock readings, and outcomes that never reached a
+    terminal state.  Tracing, hooks and metric names cannot move it.
     """
     ledger = observability.ledger
     sha = hashlib.sha256(f"{ledger.records}:{ledger.hexdigest()}".encode())
     for deployment in deployments:
         net = deployment.network
         mobility = deployment.platform.mobility
-        shards = (deployment.federation.shards.values()
-                  if deployment.federation is not None else ())
         totals = (
             net.bytes_on_wire, net.bytes_off_wire, net.bytes_delivered_total,
             net.retired_link_bytes,
@@ -62,8 +59,6 @@ def behaviour_digest(observability, *deployments) -> str:
                    for host, client in net.registry_clients.items()),
             [(host.name, host.clock.skew_ms, host.clock.drift_ppm)
              for host in net.hosts],
-            sorted(lease for shard in shards
-                   for lease in shard.lease_deadlines().items()),
             sorted(token for token, outcome in deployment.outcomes.items()
                    if not (outcome.completed or outcome.failed)),
         )
@@ -182,15 +177,6 @@ def _sabotage_dropped_invalidation(deployment) -> None:
     deployment.loop.call_later(90.0, reread)
 
 
-def _sabotage_zombie_lease(deployment) -> None:
-    """Lease every registry record for 5 ms behind an expiry timer that
-    silently does nothing."""
-    loop = deployment.loop
-    for shard in deployment.federation.shards.values():
-        shard._on_lease_timer = lambda: None  # the defect: nothing expires
-        shard.enable_leases(5.0, lambda: loop.now, loop.call_later)
-
-
 def _sabotage_lost_reply(deployment) -> None:
     """Leak one in-flight registry request (its reply finds nobody home)."""
     fed = deployment.federation
@@ -248,7 +234,6 @@ SABOTAGE_HOOKS = {
     "link-skim": _sabotage_link_skim,
     "stale-cache": _sabotage_stale_cache,
     "dropped-invalidation": _sabotage_dropped_invalidation,
-    "zombie-lease": _sabotage_zombie_lease,
     "lost-reply": _sabotage_lost_reply,
     "wedged-migration": _sabotage_wedged_migration,
 }
@@ -261,7 +246,6 @@ SABOTAGE_VIOLATIONS = {
     "link-skim": "link-accounting",
     "stale-cache": "stale-cache-serve",
     "dropped-invalidation": "stale-cache-serve",
-    "zombie-lease": "zombie-lease",
     "lost-reply": "registry-conservation",
     "wedged-migration": "migration-terminal",
 }
@@ -269,7 +253,7 @@ SABOTAGE_VIOLATIONS = {
 #: Tags that only make sense against a federated registry; the runner
 #: flips ``scenario.federated_registry`` on for them before building.
 SABOTAGE_NEEDS_FEDERATION = frozenset(
-    {"stale-cache", "dropped-invalidation", "lost-reply", "zombie-lease"})
+    {"stale-cache", "dropped-invalidation", "lost-reply"})
 
 
 @dataclass

@@ -180,8 +180,8 @@ def artifact_dict(result: ShrinkResult,
         "scenario": result.scenario.to_dict(),
         "shrunk_from": original.describe(),
         "shrink_evaluations": result.evaluations,
-        # Deployment counters from the minimal run (federation shard /
-        # cache / lease stats included when the scenario is federated).
+        # Deployment counters from the minimal run (federation shard and
+        # cache stats included when the scenario is federated).
         "stats": dict(result.report.stats),
         "replay": "python -m repro simcheck --replay <this file>",
         # Black-box dump from the *minimal* scenario's run: the runtime

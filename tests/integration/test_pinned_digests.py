@@ -23,14 +23,14 @@ PINNED: Dict[str, str] = {
     "transfer_window":
         "e6ce2dcc1b43b1097b81d27dcc72cd65f38f74aec6bd00917b5a8315a60614c5",
     "workload_day":
-        "389e2e2de5b2b7410cc363a6986b3dcc52d614fac4c1598ed91393bde45dc5cb",
+        "4ed5441fc73b17510380380941466520634d00cf377fb3b541be1d8a63b5559c",
     "registry":
-        "0c73abed959e5b92fc0bc03064820f09bdd483aa677e6a9dedc69bef838d0196",
+        "db92b07a274fc8c110e2966dd69fe7938293fc9eb8d47298f9bd304eaa3c7fd9",
     "registry_flat":
-        "bdc27adb3c2c9a2c0817a71cf5a63e3114280c54d030ca018a2bc6730f3e054c",
+        "fe77ca501c216b4ffb8e0238b2fb9f6340b4cbb3a6a1b015e1abe3ff0959c855",
     # Smoke tier (40 spaces / 300 users): the quick tier costs ~20 s.
     "city":
-        "81775e234717bcb4edfd7fcf571450db8f0ea1e5c2e5f2158ea2f82981172bb6",
+        "b0e60e1d1a17f4b01358dd86202b87ba9e00d3fe1895283c210fad68389a3e2f",
     "paper_sweep":
         "e7d255d66256e9508d2d3a78327dcaa0a1c5d0d96c296976ec19bb6a40940d8f",
 }

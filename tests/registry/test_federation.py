@@ -1,10 +1,9 @@
 """Unit tests for ``repro.registry.federation`` internals.
 
 The oracle suite proves the end-to-end contract; these tests pin the
-individual mechanisms -- routing/merge helpers, shard lease
-bookkeeping, fan-out failure modes, cache token plumbing, ghost
-classification -- including the error paths the happy-path oracle
-never exercises.
+individual mechanisms -- routing/merge helpers, fan-out failure modes,
+cache token plumbing, ghost classification -- including the error paths
+the happy-path oracle never exercises.
 """
 
 import pytest
@@ -128,197 +127,6 @@ class TestCacheKey:
                 != cache_key("resources_on", {"host": "h2"}))
 
 
-# -- shard lease bookkeeping -------------------------------------------------
-
-
-class _FakeTimer:
-    def __init__(self, at, fn):
-        self.at = at
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class _ShardHarness:
-    """A shard with a hand-cranked clock and timer list."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.timers = []
-        self.shard = RegistryShard("lab")
-
-    def clock(self):
-        return self.now
-
-    def schedule(self, delay_ms, fn):
-        timer = _FakeTimer(self.now + delay_ms, fn)
-        self.timers.append(timer)
-        return timer
-
-    def enable(self, lease_ms):
-        self.shard.enable_leases(lease_ms, self.clock, self.schedule)
-
-    def live_timers(self):
-        return [t for t in self.timers if not t.cancelled]
-
-    def fire_due(self):
-        for timer in self.live_timers():
-            if timer.at <= self.now:
-                timer.cancelled = True
-                timer.fn()
-
-
-def _register(shard, app="music", host="h1", components=("logic",)):
-    shard.dispatch("register_application",
-                   {"record": {"app_name": app, "host": host,
-                               "components": list(components)}})
-
-
-def _register_res(shard, resource_id="imcl:r1", host="h1"):
-    shard.dispatch("register_resource",
-                   {"record": {"resource_id": resource_id, "host": host,
-                               "classes": ["imcl:Printer"],
-                               "properties": {}}})
-
-
-class TestShardLeases:
-    def test_nonpositive_lease_is_rejected(self):
-        h = _ShardHarness()
-        with pytest.raises(RegistryError, match="must be positive"):
-            h.enable(0.0)
-
-    def test_enabling_stamps_every_existing_record(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        _register_res(h.shard)
-        h.now = 10.0
-        h.enable(500.0)
-        deadlines = h.shard.lease_deadlines()
-        assert deadlines[("app", "music", "h1")] == 510.0
-        assert deadlines[("res", "imcl:r1", "h1")] == 510.0
-
-    def test_renew_without_leases_is_a_noop(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        assert h.shard.renew_host("h1") == 0
-
-    def test_renew_extends_only_that_hosts_leases(self):
-        h = _ShardHarness()
-        _register(h.shard, host="h1")
-        _register(h.shard, app="notes", host="h2")
-        h.enable(500.0)
-        h.now = 300.0
-        assert h.shard.renew_host("h1") == 1
-        deadlines = h.shard.lease_deadlines()
-        assert deadlines[("app", "music", "h1")] == 800.0
-        assert deadlines[("app", "notes", "h2")] == 500.0
-
-    def test_expiry_deregisters_through_the_write_path(self):
-        h = _ShardHarness()
-        writes = []
-        h.shard.on_write = lambda *a: writes.append(a[1])
-        expired = []
-        h.shard.on_lease_expired = lambda *a: expired.append(a)
-        _register(h.shard)
-        h.enable(500.0)
-        h.now = 501.0
-        h.fire_due()
-        assert h.shard.application_hosts("music") == []
-        assert expired == [("lab", "app", "music", "h1")]
-        assert "deregister_application" in writes
-        assert h.shard.leases_expired == 1
-
-    def test_expire_due_without_clock_is_a_noop(self):
-        shard = RegistryShard("lab")
-        assert shard.expire_due() == 0
-
-    def test_reregistration_to_a_new_host_drops_the_stale_lease_key(self):
-        h = _ShardHarness()
-        _register_res(h.shard, host="h1")
-        h.enable(500.0)
-        h.now = 100.0
-        _register_res(h.shard, host="h2")  # fresh deadline 600
-        keys = set(h.shard.lease_deadlines())
-        assert ("res", "imcl:r1", "h2") in keys
-        assert ("res", "imcl:r1", "h1") not in keys
-        # The old deadline (500) must not reap the moved record.
-        h.now = 501.0
-        h.fire_due()
-        assert h.shard.resource("imcl:r1") is not None
-
-    def test_deregistration_clears_the_lease_key(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        _register_res(h.shard)
-        h.enable(500.0)
-        h.shard.dispatch("deregister_application",
-                         {"app_name": "music", "host": "h1"})
-        h.shard.dispatch("deregister_resource", {"resource_id": "imcl:r1"})
-        assert h.shard.lease_deadlines() == {}
-        # The armed timer fires as a no-op and does not re-arm.
-        h.now = 500.0
-        h.fire_due()
-        assert h.shard.leases_expired == 0
-        assert not h.live_timers()
-
-    def test_an_earlier_timer_already_covers_a_later_deadline(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        h.enable(500.0)
-        h.now = 100.0
-        _register(h.shard, app="notes")  # deadline 600 > armed 500
-        assert len(h.live_timers()) == 1
-        assert h.live_timers()[0].at == 500.0
-
-    def test_timer_refires_for_the_next_deadline(self):
-        h = _ShardHarness()
-        _register(h.shard, host="h1")
-        h.enable(500.0)
-        h.now = 250.0
-        _register(h.shard, app="notes", host="h2")  # deadline 750
-        h.now = 500.0
-        h.fire_due()
-        assert h.shard.application_hosts("music") == []
-        assert h.shard.application_hosts("notes") == ["h2"]
-        # Re-armed for the surviving lease.
-        assert [t.at for t in h.live_timers()] == [750.0]
-
-    def test_arm_without_a_scheduler_is_a_noop(self):
-        h = _ShardHarness()
-        h.shard.lease_ms = 500.0
-        h.shard.clock = h.clock  # leases stamp, but nothing can arm
-        _register(h.shard)
-        assert h.shard.lease_deadlines() != {}
-        assert not h.timers
-
-    def test_rearming_with_nothing_leased_cancels_the_timer(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        h.enable(500.0)
-        h.shard.dispatch("deregister_application",
-                         {"app_name": "music", "host": "h1"})
-        assert h.live_timers()  # deregistration alone leaves it armed
-        h.shard._arm()
-        assert not h.live_timers()
-
-    def test_an_earlier_deadline_replaces_the_armed_timer(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        h.enable(500.0)
-        h.enable(200.0)  # shorter lease re-stamps everything earlier
-        assert [t.at for t in h.live_timers()] == [200.0]
-
-    def test_disarm_cancels_the_timer_and_freezes_state(self):
-        h = _ShardHarness()
-        _register(h.shard)
-        h.enable(500.0)
-        h.shard.disarm_leases()
-        assert not h.live_timers()
-        assert h.shard.schedule is None
-
-
 # -- installation and routing ------------------------------------------------
 
 
@@ -350,14 +158,6 @@ class TestInstallation:
         fed = d.federation
         fed.install_aggregator("gw-annex", spaces=["annex"])
         assert fed.aggregator_for["annex"] == "gw-annex"
-
-    def test_late_shards_inherit_enabled_leases(self):
-        d = build()
-        fed = d.federation
-        fed.enable_leases(1_000.0, horizon_ms=2_000.0)
-        shard = fed.install_shard("extra", "gw-annex")
-        assert shard.lease_ms == 1_000.0
-        assert shard.schedule is not None
 
     def test_fanout_entries_lead_with_the_fallback(self):
         d = build()
@@ -654,7 +454,10 @@ class TestCaches:
 class TestGhosts:
     def test_locally_owned_resources_need_no_ghost(self):
         shard = RegistryShard("lab")
-        _register_res(shard, "imcl:mine", "h1")
+        shard.dispatch("register_resource",
+                       {"record": {"resource_id": "imcl:mine", "host": "h1",
+                                   "classes": ["imcl:Printer"],
+                                   "properties": {}}})
         ghosts = shard._install_ghosts(
             {"imcl:mine": {"classes": ["imcl:Printer"],
                            "substitutable": True}})
@@ -682,28 +485,10 @@ class TestGhosts:
         assert error.startswith("shard 'annex':")
 
 
-# -- federation-level leases and reporting -----------------------------------
+# -- federation-level reporting ----------------------------------------------
 
 
 class TestFederationState:
-    def test_nonpositive_lease_is_rejected(self):
-        d = build()
-        with pytest.raises(RegistryError, match="must be positive"):
-            d.federation.enable_leases(0.0)
-
-    def test_lease_expiry_emits_the_fault_event(self):
-        obs = Observability()
-        events = []
-        obs.add_hook(lambda event, payload: events.append((event, payload)))
-        d = build(observability=obs)
-        register_app(d, "music", "h1", ["logic"])
-        d.federation.enable_leases(1_000.0, horizon_ms=8_000.0)
-        d.network.host("h1").online = False
-        d.run_all()
-        expired = [p for e, p in events if e == "fault.lease_expired"]
-        assert expired == [{"scope": "registry", "space": "lab",
-                            "kind": "app", "name": "music", "host": "h1"}]
-
     def test_stats_aggregate_clients_and_nodes(self):
         d = build()
         register_app(d, "music", "h1", ["logic"])
@@ -715,7 +500,6 @@ class TestFederationState:
         assert stats["registry_cache_hits"] >= 1
         assert stats["registry_cache_misses"] >= 1
         assert stats["registry_invalidations"] >= 1
-        assert stats["registry_leases_expired"] == 0
         call(d, "h2", "lookup_application", {"app_name": "music",
                                              "host": "h1"})
         assert d.federation.total_lookups() >= 1

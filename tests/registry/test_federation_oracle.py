@@ -4,8 +4,8 @@ The federation's correctness contract (``repro.registry.federation``)
 is byte-identical results: on the same population and operation
 sequence, every federated RPC must return exactly what the flat
 :class:`RegistryCenter` returns -- shard routing, gateway fan-out,
-merge, caching, the describe/match composition and lease expiry are
-all implementation detail the caller must not be able to observe.
+merge, caching and the describe/match composition are all
+implementation detail the caller must not be able to observe.
 
 Every test here drives the *real* deployment (clients, gateways,
 simulated round trips) against an in-memory flat center fed the same
@@ -192,10 +192,10 @@ class TestOperationOracle:
 
 class TestCrashOracle:
     @pytest.mark.parametrize("seed", range(10))
-    def test_reads_match_after_crash_expires_the_victims_leases(self, seed):
-        """Crash one host; its leases expire on sim-time timers.  The
-        flat oracle applies the same records as explicit deregistrations
-        and every read surface must still agree byte-for-byte."""
+    def test_reads_match_after_a_host_crash(self, seed):
+        """Crash one host.  As in the flat center, its records stay until
+        something deregisters them, so every read surface must still
+        agree byte-for-byte with the flat oracle."""
         rng = random.Random(5_000 + seed)
         d = build_federated(seed)
         center = RegistryCenter()
@@ -215,20 +215,8 @@ class TestCrashOracle:
                 owned_resources[host].append(resource_id)
         victim = rng.choice(HOSTS)
         survivors = [host for host in HOSTS if host != victim]
-        d.federation.enable_leases(lease_ms=1_000.0, horizon_ms=8_000.0)
         d.network.host(victim).online = False
-        d.run_all()  # renewals tick, the victim's leases expire, horizon
-        expected = len(owned_apps[victim]) + len(owned_resources[victim])
-        assert d.federation.leases_expired == expected
-        # Only the victim's records expired; apply exactly those to the
-        # oracle (expiry order -- the shard's sorted due keys -- cannot
-        # matter for final state, which is all reads observe).
-        for app in owned_apps[victim]:
-            flat_call(center, "deregister_application",
-                      {"app_name": app, "host": victim})
-        for resource_id in owned_resources[victim]:
-            flat_call(center, "deregister_resource",
-                      {"resource_id": resource_id})
+        d.run_all()
         reads = []
         for app in APPS:
             reads.append(("lookup_application", {"app_name": app}))
@@ -262,10 +250,15 @@ class TestCrashOracle:
             assert canonical(fed_result) == canonical(flat_result), \
                 (f"{context}:\n  federated {canonical(fed_result)}"
                  f"\n  flat      {canonical(flat_result)}")
-        # Survivors' records are untouched: the renewal ticks kept their
-        # leases alive and the horizon froze them, not reaped them.
-        for host in survivors:
-            for app in owned_apps[host]:
-                hosts, _ = fed_call(d, survivors[0], "application_hosts",
-                                    {"app_name": app})
-                assert host in hosts
+        # The victim's records stay on both sides: nothing deregistered
+        # them.
+        for app in owned_apps[victim]:
+            args = {"app_name": app}
+            assert victim in fed_call(d, survivors[0], "application_hosts",
+                                      args)[0]
+            assert victim in flat_call(center, "application_hosts", args)[0]
+        args = {"host": victim}
+        for owned in (fed_call(d, survivors[0], "resources_on", args)[0],
+                      flat_call(center, "resources_on", args)[0]):
+            assert sorted(r["resource_id"] for r in owned) == \
+                owned_resources[victim]

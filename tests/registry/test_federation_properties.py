@@ -1,12 +1,10 @@
 """Property-based invariants of the federated registry (hypothesis).
 
-Three families, matching the federation's load-bearing guarantees:
+Two families, matching the federation's load-bearing guarantees:
 
 * **routing reachability** -- every operation the RPC surface admits
   routes to a live host that can actually serve it (a shard node owning
   the hinted space, or an aggregator for global fan-outs);
-* **lease monotonicity** -- a record is served while its lease is live
-  and never again after the lease expired;
 * **cache coherence** -- a cached read is never served across an
   invalidating registry write or app-lifecycle event, for any TTL.
 """
@@ -129,50 +127,6 @@ class TestRoutingReachability:
         operation, args = op
         d = build()
         call(d, caller, operation, args)
-
-
-class TestLeaseMonotonicity:
-    @given(lease_ms=st.floats(min_value=500.0, max_value=3_000.0),
-           fraction=st.floats(min_value=0.0, max_value=0.5),
-           reader=st.sampled_from(["h2", "h3"]))
-    @settings(max_examples=20)
-    def test_entry_served_in_lease_never_served_after_expiry(
-            self, lease_ms, fraction, reader):
-        d = build()
-        register_app(d, "music", "h1", ["logic"])
-        fed = d.federation
-        fed.enable_leases(lease_ms, horizon_ms=lease_ms * 6)
-        d.network.host("h1").online = False  # h1 stops renewing
-        # Read well inside the lease: the record must still be served
-        # (issue margin of 200 ms covers the RPC round trip).
-        d.loop.advance(fraction * (lease_ms - 300.0))
-        before = call(d, reader, "application_hosts", {"app_name": "music"})
-        assert before == ["h1"]
-        # run_all drained the loop past the horizon, so every deadline
-        # the crashed host missed has fired by now.
-        assert d.loop.now > lease_ms
-        after = call(d, reader, "application_hosts", {"app_name": "music"})
-        assert after == []
-        assert fed.leases_expired == 1
-        # The shard's lease table carries no zombie deadline either.
-        for shard in fed.shards.values():
-            for deadline in shard.lease_deadlines().values():
-                assert shard.schedule is None or deadline > d.loop.now
-
-    @given(lease_ms=st.floats(min_value=500.0, max_value=2_000.0))
-    @settings(max_examples=10)
-    def test_renewed_hosts_survive_the_whole_horizon(self, lease_ms):
-        d = build()
-        register_app(d, "music", "h1", ["logic"])
-        register_app(d, "notes", "h3", ["logic", "data"])
-        d.federation.enable_leases(lease_ms, horizon_ms=lease_ms * 8)
-        d.run_all()
-        assert d.loop.now >= lease_ms * 4  # renewals really ticked
-        assert call(d, "h2", "application_hosts",
-                    {"app_name": "music"}) == ["h1"]
-        assert call(d, "h2", "application_hosts",
-                    {"app_name": "notes"}) == ["h3"]
-        assert d.federation.leases_expired == 0
 
 
 class TestCacheCoherence:
