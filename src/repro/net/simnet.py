@@ -246,10 +246,13 @@ class _BulkFlow:
     go-back-N window semantics); distinct flows share the wire fairly.
     """
 
-    __slots__ = ("key", "jobs", "cursor", "last_arrival")
+    __slots__ = ("key", "rank", "jobs", "cursor", "last_arrival")
 
-    def __init__(self, key):
+    def __init__(self, key, rank: int):
         self.key = key
+        #: First-seen position on the link: the order in which
+        #: same-instant completions are delivered.
+        self.rank = rank
         #: The fluid queue, held only while the flow queues under
         #: contention: a link keeps every flow it ever carried, and most
         #: of them sit idle.
@@ -260,12 +263,6 @@ class _BulkFlow:
         self.cursor = 0.0
         #: FIFO clamp: within a flow, jitter can never reorder deliveries.
         self.last_arrival = 0.0
-
-    def push(self, job: _BulkJob) -> None:
-        """Append ``job`` to the fluid queue, opening it if needed."""
-        if self.jobs is None:
-            self.jobs = deque()
-        self.jobs.append(job)
 
 
 class _BulkBatch:
@@ -331,9 +328,12 @@ class Link:
         #: transmission time (lost phantoms included -- they burn wire).
         self.class_busy_ms: Dict[str, float] = {CONTROL: 0.0, BULK: 0.0}
         # -- bulk fair-share engine state ---------------------------------
-        #: Every flow the link has carried, in first-seen order: the order
-        #: in which same-instant completions are delivered.
+        #: Every flow the link has carried, in first-seen order: each
+        #: idle flow keeps its cursor, FIFO clamp and rank here.
         self._flows: Dict[Tuple[str, str], _BulkFlow] = {}
+        #: The flows with queued jobs, in first-seen (rank) order: a flow
+        #: joins when its queue opens and leaves when it drains.
+        self._active: List[_BulkFlow] = []
         #: Flows whose cursor a booking set, pruned lazily to those still
         #: serializing (see :meth:`_other_flow_busy`).
         self._busy: Dict[Tuple[str, str], _BulkFlow] = {}
@@ -398,6 +398,28 @@ class Link:
 
     # -- bulk lane (per-flow FIFO + processor sharing) ---------------------
 
+    def _flow(self, flow_key: Tuple[str, str]) -> _BulkFlow:
+        flow = self._flows.get(flow_key)
+        if flow is None:
+            flow = self._flows[flow_key] = _BulkFlow(flow_key,
+                                                     len(self._flows))
+        return flow
+
+    def _queue(self, job: _BulkJob) -> None:
+        """Append ``job`` to its flow's fluid queue; a flow whose queue
+        opens joins the active list at its first-seen place."""
+        flow = job.flow
+        if flow.jobs is None:
+            flow.jobs = deque()
+            # A walk from the end: the list holds a few flows, and a
+            # joining flow most often ranks last.
+            active = self._active
+            i = len(active)
+            while i and active[i - 1].rank > flow.rank:
+                i -= 1
+            active.insert(i, flow)
+        flow.jobs.append(job)
+
     def enqueue_bulk(self, loop: EventLoop, now: float,
                      flow_key: Tuple[str, str], size_bytes: int,
                      rng: random.Random,
@@ -417,9 +439,7 @@ class Link:
         the flow queue.
         """
         self._loop = loop
-        flow = self._flows.get(flow_key)
-        if flow is None:
-            flow = self._flows[flow_key] = _BulkFlow(flow_key)
+        flow = self._flow(flow_key)
         tx = self.transmission_ms(size_bytes)
         self.class_busy_ms[BULK] += tx
         # Same RNG draw order as the control lane: jitter, then loss.
@@ -456,7 +476,7 @@ class Link:
             self._begin_contention(now)
         else:
             self._advance(now)
-        flow.push(job)
+        self._queue(job)
         self._retune(now)
         return None, lost
 
@@ -505,9 +525,7 @@ class Link:
         Caller must have checked :meth:`bulk_window_eligible`.
         """
         self._loop = loop
-        flow = self._flows.get(flow_key)
-        if flow is None:
-            flow = self._flows[flow_key] = _BulkFlow(flow_key)
+        flow = self._flow(flow_key)
         cursor = max(now, flow.cursor)
         last_arrival = flow.last_arrival
         latency = self.latency_ms
@@ -563,7 +581,7 @@ class Link:
                 job.timer.cancel()
                 job.timer = None
                 job.remaining = (job.finish_tx - now) * full_rate
-                job.flow.push(job)
+                self._queue(job)
             else:
                 still_flying.append(job)
         self._latency_flight = still_flying
@@ -580,7 +598,7 @@ class Link:
             for job in batch.jobs:
                 if job.finish_tx > now + self._EPS:
                     job.remaining = (job.finish_tx - now) * full_rate
-                    job.flow.push(job)
+                    self._queue(job)
                 else:
                     when = job.arrival if job.arrival > now else now
                     job.timer = job.dispatch(when)
@@ -598,11 +616,12 @@ class Link:
         """
         dt = to - self._fluid_at
         self._fluid_at = to
-        active = [f for f in self._flows.values() if f.jobs]
+        active = self._active
         if not active:
             return
         rate = self.bandwidth_mbps * 125.0 / len(active)
-        for flow in active:
+        # A copy: a flow whose queue drains leaves the list mid-loop.
+        for flow in list(active):
             budget = rate * max(0.0, dt)
             while flow.jobs:
                 head = flow.jobs[0]
@@ -620,6 +639,7 @@ class Link:
         job = flow.jobs.popleft()
         if not flow.jobs:
             flow.jobs = None
+            self._active.remove(flow)
         flow.cursor = t
         if job.lost:
             return  # phantom: wire time burned, drop already reported
@@ -643,7 +663,7 @@ class Link:
         """(Re)schedule the completion tick at the earliest head finish; a
         pending tick already due then is kept."""
         tick = self._tick_timer
-        active = [f for f in self._flows.values() if f.jobs]
+        active = self._active
         if not active:
             # Drained: the next lone flow takes the uncontended fast path.
             if tick is not None:
@@ -715,11 +735,13 @@ class Link:
             aborted.extend(j for j in batch.jobs
                            if j.arrival > now + self._EPS)
         self._batches = []
-        for flow in self._flows.values():
-            for job in flow.jobs or ():
-                if not job.lost:
-                    aborted.append(job)
+        for flow in self._active:
+            aborted.extend(job for job in flow.jobs if not job.lost)
             flow.jobs = None
+        self._active = []
+        # Only a booking sets a cursor beyond now, and it registers its
+        # flow in _busy: zeroing those frees the gate for every flow.
+        for flow in self._busy.values():
             flow.cursor = 0.0
         for job in self._latency_flight:
             if job.timer is not None and job.timer.active:
@@ -735,7 +757,7 @@ class Link:
         flow = self._flows.get(flow_key)
         if not self._contended:
             return max(0.0, flow.cursor - now) if flow is not None else 0.0
-        active = sum(1 for f in self._flows.values() if f.jobs)
+        active = len(self._active)
         backlog = sum(j.remaining for j in flow.jobs) \
             if flow is not None and flow.jobs else 0.0
         if flow is None or not flow.jobs:
@@ -745,7 +767,7 @@ class Link:
 
     def bulk_queue_depth(self) -> int:
         """Bulk messages queued or serializing (not yet fully on the wire)."""
-        return sum(len(f.jobs) for f in self._flows.values() if f.jobs)
+        return sum(len(f.jobs) for f in self._active)
 
     @property
     def bulk_contended(self) -> bool:
@@ -794,11 +816,12 @@ class Network:
         #: Carried+dropped totals of links since removed by disconnect(),
         #: so the link-level reconciliation survives topology changes.
         self.retired_link_bytes = 0
-        # In-flight transfers per link: (timer, receipt, on_dropped) tuples,
-        # so a hard link cut (disconnect(drop_in_flight=True)) can cancel
-        # the pending deliveries and fail their receipts.
-        self._in_flight: Dict[Link, List[Tuple[Any, DeliveryReceipt,
-                                               Optional[Callable]]]] = {}
+        # Control-lane hops in flight, by message id: (link, timer, receipt,
+        # on_dropped), so a hard link cut (disconnect(drop_in_flight=True))
+        # can cancel the pending deliveries and fail their receipts.  An
+        # entry leaves when its timer fires or its link is cut.
+        self._in_flight: Dict[int, Tuple[Link, Any, DeliveryReceipt,
+                                         Optional[Callable]]] = {}
         # O(1) link lookup by (endpoint, endpoint); maintained by
         # connect()/disconnect().  link_between() used to scan the
         # adjacency list, which is a per-hop cost on every send.
@@ -885,16 +908,18 @@ class Network:
         # connect() of the same pair builds a fresh Link: zeroed counters,
         # idle lanes (busy_until == last_arrival == 0).
         self.retired_link_bytes += link.bytes_carried + link.bytes_dropped
-        entries = self._in_flight.pop(link, [])
+        in_flight = self._in_flight
+        entries = [e for e in in_flight.values() if e[0] is link]
+        for _, _, receipt, _ in entries:
+            del in_flight[receipt.message.message_id]
         if drop_in_flight:
-            for timer, receipt, on_dropped in entries:
-                if timer.active:
-                    timer.cancel()
-                    # The cancelled timer was this message's off-wire event
-                    # (delivery or next-hop forward), so settle the ledger
-                    # here: the bytes left the wire by being destroyed.
-                    self.bytes_off_wire += receipt.message.size_bytes
-                    self._drop(receipt, on_dropped)
+            for _, timer, receipt, on_dropped in entries:
+                timer.cancel()
+                # The cancelled timer was this message's off-wire event
+                # (delivery or next-hop forward), so settle the ledger
+                # here: the bytes left the wire by being destroyed.
+                self.bytes_off_wire += receipt.message.size_bytes
+                self._drop(receipt, on_dropped)
             for job in link.abort_bulk():
                 # Bulk jobs (queued, serializing or propagating) went
                 # on-wire at enqueue; destroy them and settle likewise.
@@ -1215,6 +1240,7 @@ class Network:
             # Arrived at a relay: the previous hop's bytes are off the wire
             # whether or not this host can forward them onward.
             self.bytes_off_wire += receipt.message.size_bytes
+            self._in_flight.pop(receipt.message.message_id, None)
         if hop_index > 0 and not self._hosts[here].online:
             # The relay crashed while the message was in flight towards it
             # (store-and-forward: an offline gateway loses the message).
@@ -1255,10 +1281,8 @@ class Network:
             timer = self.loop.call_at(arrival + delay, self._forward, receipt,
                                       path, hop_index + 1, on_delivered,
                                       on_dropped)
-        entries = self._in_flight.setdefault(link, [])
-        # Pruned per hop, not amortized: delivered payloads die at once.
-        entries[:] = [e for e in entries if e[0].active]
-        entries.append((timer, receipt, on_dropped))
+        self._in_flight[receipt.message.message_id] = (link, timer, receipt,
+                                                       on_dropped)
 
     def _forward_bulk(self, receipt: DeliveryReceipt, link: Link,
                       path: List[str], hop_index: int, here: str, there: str,
@@ -1276,7 +1300,6 @@ class Network:
         message = receipt.message
         size = message.size_bytes
         flow_key = (message.source, message.destination)
-        queue_ms = link.bulk_queue_ms(flow_key, self.loop.now)
         if hop_index + 2 == len(path):
             def dispatch(arrival: float):
                 return self.loop.call_at(arrival, self._deliver, receipt,
@@ -1290,18 +1313,21 @@ class Network:
                                          hop_index + 1, on_delivered,
                                          on_dropped)
         obs = self.loop.observability
-        seal: Dict[str, Any] = {}
+        on_arrival = None
+        if obs is not None:
+            # The queue wait and the seal serve only the hop's span.
+            queue_ms = link.bulk_queue_ms(flow_key, self.loop.now)
+            seal: Dict[str, Any] = {}
 
-        def on_arrival(arrival: float) -> None:
-            span = seal.get("span")
-            if span is not None and not seal.get("done"):
-                seal["done"] = True
-                span.end(at=arrival)
+            def on_arrival(arrival: float) -> None:
+                span = seal.get("span")
+                if span is not None and not seal.get("done"):
+                    seal["done"] = True
+                    span.end(at=arrival)
 
         arrival, lost = link.enqueue_bulk(
             self.loop, self.loop.now, flow_key, size, self.rng, dispatch,
-            receipt=receipt, on_dropped=on_dropped,
-            on_arrival=on_arrival if obs is not None else None)
+            receipt=receipt, on_dropped=on_dropped, on_arrival=on_arrival)
         if obs is not None:
             span = self._observe_hop(obs, receipt, link, here, there,
                                      queue_ms, arrival, lost)
@@ -1329,6 +1355,7 @@ class Network:
         if receipt.hops:
             # Came in over a link (hops == 0 means local delivery).
             self.bytes_off_wire += receipt.message.size_bytes
+            self._in_flight.pop(receipt.message.message_id, None)
         if not dst.online:
             self._drop(receipt, on_dropped)
             return

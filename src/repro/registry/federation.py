@@ -560,9 +560,6 @@ class FederatedRegistryClient(RegistryClient):
             args = {**args, _SPACE_HINT: space}
         super().call(operation, args, callback, server=target)
 
-    def invalidate(self) -> None:
-        self._cache.clear()
-
 
 class RegistryFederation:
     """Deployment-level coordinator for the federated registry.
@@ -706,9 +703,6 @@ class RegistryFederation:
             return ("app", self._app_gen.get(app, 0),
                     self._app_epoch.get(app, 0))
         return ("res", self._resource_gen)
-
-    def lifecycle_epoch(self, app_name: str) -> int:
-        return self._app_epoch.get(app_name, 0)
 
     def _on_shard_write(self, space: str, operation: str,
                         args: Dict[str, Any]) -> None:

@@ -1,11 +1,13 @@
-"""Differential oracle for the bulk lane's uncontended gate.
+"""Differential oracles for the bulk lane's flow bookkeeping.
 
 A link answers "is another bulk flow still serializing?" from the flows
-whose cursor a booking pushed past ``now``, pruned as time passes.  The
-reference answer scans every flow the link ever carried.  The property
+whose cursor a booking pushed past ``now``, pruned as time passes, and
+it keeps the flows with queued jobs in a list of their own.  The
+reference answers scan every flow the link ever carried.  The property
 drives one ``Link`` through random interleavings of single enqueues
 (some of them lost), analytic window bookings, loop advances and hard
-cuts, and holds the gate to that scan before every enqueue and booking.
+cuts; it holds the gate to that scan before every enqueue and booking,
+and the active-flow list to it after every step.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,11 @@ def _scan(link, key, now):
     """The reference: any *other* flow whose cursor lies beyond now."""
     return any(f.cursor > now + Link._EPS and f.key != key
                for f in link._flows.values())
+
+
+def _queued(link):
+    """The reference: every flow with queued jobs, in first-seen order."""
+    return [f for f in link._flows.values() if f.jobs]
 
 
 steps = st.lists(st.one_of(
@@ -79,5 +86,29 @@ def test_uncontended_gate_equals_a_scan_of_every_flow(steps):
             loop.advance(step[1])
         else:
             link.abort_bulk()
+        assert link._active == _queued(link), step
     loop.run_until_idle()
     assert [f.key for f in link._flows.values() if f.jobs is not None] == []
+    assert link._active == []
+
+
+def test_a_flow_that_drains_and_rejoins_keeps_its_first_seen_place():
+    loop = EventLoop()
+    link = Link("a", "b", bandwidth_mbps=10.0, latency_ms=1.0)
+    rng = _Draws()
+
+    def dispatch(arrival):
+        return loop.call_at(arrival, lambda: None)
+
+    small, big = 1_000, 1_000_000
+    first, second, third = FLOWS
+    for key, size in ((first, small), (second, big), (third, big)):
+        link.enqueue_bulk(loop, 0.0, key, size, rng, dispatch)
+    assert link._contended
+    assert [f.key for f in link._active] == [first, second, third]
+    while link._flows[first].jobs:
+        loop.step()  # the small head drains first
+    assert [f.key for f in link._active] == [second, third]
+    link.enqueue_bulk(loop, loop.now, first, small, rng, dispatch)
+    assert [f.key for f in link._active] == [first, second, third]
+    assert link._active == _queued(link)

@@ -1,5 +1,7 @@
 """Tests for hosts, links and message delivery."""
 
+import weakref
+
 import pytest
 
 from repro.net.kernel import EventLoop
@@ -319,6 +321,86 @@ def test_link_removed_mid_flight_between_hops():
     loop.call_at(1.0, lambda: net.disconnect("b", "c"))
     loop.run()
     assert receipt.dropped
+
+
+class _Payload:
+    """A weak-referenceable payload."""
+
+
+@pytest.mark.parametrize("names", [("h1", "h2"), ("a", "b", "c")])
+def test_delivered_control_message_is_released_at_once(names):
+    loop, net = make_chain(*names)
+    payload = _Payload()
+    alive = weakref.ref(payload)
+    receipt = net.send(names[0], names[-1], "t", payload, 64)
+    del payload
+    loop.run()
+    assert receipt.delivered and receipt.hops == len(names) - 1
+    del receipt
+    assert alive() is None  # no gc.collect(): nothing holds it any more
+    assert net._in_flight == {}
+
+
+def test_hard_cut_drops_the_cut_links_messages_in_send_order():
+    loop, net = make_chain("a", "b", "c", latency=2.0)
+    net.host("b").register_handler("t", lambda m: None)
+    sent, drops = {}, []
+
+    def send_at(at, source, destination):
+        def go():
+            sent[at] = net.send(source, destination, "t", None, 0,
+                                on_dropped=lambda r: drops.append(
+                                    (r, loop.now)))
+        loop.call_at(at, go)
+
+    send_at(0.0, "a", "c")  # reaches b at 2.0, then rides b--c
+    send_at(0.5, "a", "b")  # delivered at 2.5, before the cut
+    for at in (2.6, 2.7, 2.8):
+        send_at(at, "a", "b")  # still on a--b at the cut
+    send_at(2.9, "c", "b")  # on b--c at the cut
+    loop.call_at(3.0, lambda: net.disconnect("a", "b", drop_in_flight=True))
+    loop.run()
+    assert [(id(r), t) for r, t in drops] == \
+        [(id(sent[at]), 3.0) for at in (2.6, 2.7, 2.8)]
+    for at in (0.0, 0.5, 2.9):
+        assert sent[at].delivered and not sent[at].dropped
+    assert net._in_flight == {}
+
+
+def test_hard_cut_after_reconnect_drops_only_the_new_links_messages():
+    loop, net = make_pair(latency=5.0)
+    net.host("h2").register_handler("t", lambda m: None)
+    drops = []
+    straggler = net.send("h1", "h2", "t", None, 0, on_dropped=drops.append)
+    loop.run(until=1.0)
+    net.disconnect("h1", "h2")  # graceful: the straggler still drains
+    net.connect("h1", "h2", latency_ms=5.0)
+    fresh = net.send("h1", "h2", "t", None, 0, on_dropped=drops.append)
+    loop.run(until=2.0)
+    net.disconnect("h1", "h2", drop_in_flight=True)
+    loop.run()
+    assert len(drops) == 1 and drops[0] is fresh
+    assert straggler.delivered and straggler.delivered_at == 5.0
+    assert net._in_flight == {}
+
+
+def test_same_instant_burst_keeps_exactly_the_undelivered_receipts():
+    loop, net = make_pair(loss_rate=0.2)
+    net.host("h2").register_handler("t", lambda m: None)
+    receipts = [net.send("h1", "h2", "t", None, 64) for _ in range(1600)]
+
+    def tabled():
+        return {id(entry[2]) for entry in net._in_flight.values()}
+
+    def undelivered():
+        return {id(r) for r in receipts if not (r.delivered or r.dropped)}
+
+    assert any(r.dropped for r in receipts)  # lost at send: never tabled
+    assert tabled() == undelivered()
+    while loop.step():
+        assert tabled() == undelivered()
+    assert all(r.delivered or r.dropped for r in receipts)
+    assert net._in_flight == {}
 
 
 def test_forward_delay_applies_per_relay_hop():

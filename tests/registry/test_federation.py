@@ -361,18 +361,6 @@ class TestCaches:
         assert error is None and result == ["h1"]
         assert aggregator.cache_hits == hits_before + 1
 
-    def test_invalidate_empties_the_client_cache(self):
-        d = build()
-        register_app(d, "music", "h1", ["logic"])
-        client = d.federation.client_for("h2")
-        call(d, "h2", "components_at", {"app_name": "music", "host": "h1"})
-        assert client._cache
-        client.invalidate()
-        assert client._cache == {}
-        misses_before = client.cache_misses
-        call(d, "h2", "components_at", {"app_name": "music", "host": "h1"})
-        assert client.cache_misses == misses_before + 1
-
     def test_skip_token_check_serves_stale_results(self):
         """The simcheck sabotage seam really breaks coherence."""
         d = build()
@@ -420,7 +408,9 @@ class TestCaches:
             topic=TOPIC_APP, subject="music",
             attributes={"event": "prestaged"}, timestamp=0.0, source="t"))
         d.run_all()
-        assert fed.lifecycle_epoch("music") == 0
+        token = fed.cache_token("components_at",
+                                {"app_name": "music", "host": "h1"})
+        assert token[2] == 0  # the lifecycle-epoch term
 
     def test_disabled_invalidation_drops_the_epoch_bump(self):
         d = build()
@@ -430,7 +420,9 @@ class TestCaches:
             topic=TOPIC_APP, subject="music",
             attributes={"event": "started"}, timestamp=0.0, source="t"))
         d.run_all()
-        assert fed.lifecycle_epoch("music") == 0
+        token = fed.cache_token("components_at",
+                                {"app_name": "music", "host": "h1"})
+        assert token[2] == 0  # the lifecycle-epoch term
 
     def test_any_resource_writes_flips_on_the_first_registration(self):
         d = build()
