@@ -527,12 +527,15 @@ class MobilityService:
         result = transfer.result
         sizes = transfer.chunk_sizes
         seq = transfer.next_to_send
-        attrs = {"attempt": transfer.attempt, "chunk": seq,
-                 "chunks": len(sizes)}
-        if window > 1:
-            attrs["window"] = window
-            attrs["in_flight"] = transfer.in_flight
-        result.next_span("agent.transfer", transfer.container.host, **attrs)
+        root = result._root_span
+        if root is not None and not root.finished:
+            attrs = {"attempt": transfer.attempt, "chunk": seq,
+                     "chunks": len(sizes)}
+            if window > 1:
+                attrs["window"] = window
+                attrs["in_flight"] = transfer.in_flight
+            result.next_span("agent.transfer", transfer.container.host,
+                             **attrs)
         payload, size, on_delivered, on_dropped = self._chunk(transfer, seq)
         epoch = transfer.epoch
         try:

@@ -57,14 +57,45 @@ def deep_size_bytes(value: Any) -> int:
     total = 0
     stack = [value]
     # Identity set of *container* ancestors on the current DFS path: a
-    # container re-encountered while still open is a cycle.  Sentinel
-    # frames pop ids when a container's children are exhausted, so shared
-    # (diamond) references are still legal and charged once per occurrence.
+    # container re-encountered while still open is a cycle.  A container
+    # pushes its id and the ``_CLOSE`` marker below its children; popping
+    # the marker closes it, so shared (diamond) references are still
+    # legal and charged once per occurrence.
     open_ids: set = set()
     while stack:
         node = stack.pop()
-        if type(node) is _CloseFrame:
-            open_ids.discard(node.ident)
+        kind = type(node)
+        # The commonest nodes first, by exact type; their subclasses fall
+        # through to the isinstance checks below, which size them alike.
+        if kind is str:
+            total += _OVERHEAD_PER_OBJECT + (
+                len(node) if node.isascii() else len(node.encode("utf-8")))
+            continue
+        if kind is int or kind is float:
+            total += _SIZE_NUMBER
+            continue
+        if node is _CLOSE:
+            open_ids.discard(stack.pop())
+            continue
+        if isinstance(node, dict):
+            ident = id(node)
+            if ident in open_ids:
+                raise SerializationError(
+                    "cannot size cyclic agent state: a dict contains "
+                    "itself")
+            open_ids.add(ident)
+            total += _OVERHEAD_PER_OBJECT
+            # Virtual payloads: domain objects (media files, code bundles)
+            # are not materialized in memory, but their wire size must be
+            # honest.
+            virtual = node.get("__virtual_bytes__")
+            if type(virtual) is int and virtual > 0:
+                total += virtual
+            stack.append(ident)
+            stack.append(_CLOSE)
+            for k, v in node.items():
+                stack.append(k)
+                stack.append(v)
             continue
         if node is None:
             total += 1
@@ -89,27 +120,9 @@ def deep_size_bytes(value: Any) -> int:
                     f"{type(node).__name__} contains itself")
             open_ids.add(ident)
             total += _OVERHEAD_PER_OBJECT
-            stack.append(_CloseFrame(ident))
+            stack.append(ident)
+            stack.append(_CLOSE)
             stack.extend(node)
-            continue
-        if isinstance(node, dict):
-            ident = id(node)
-            if ident in open_ids:
-                raise SerializationError(
-                    "cannot size cyclic agent state: a dict contains "
-                    "itself")
-            open_ids.add(ident)
-            total += _OVERHEAD_PER_OBJECT
-            # Virtual payloads: domain objects (media files, code bundles)
-            # are not materialized in memory, but their wire size must be
-            # honest.
-            virtual = node.get("__virtual_bytes__")
-            if type(virtual) is int and virtual > 0:
-                total += virtual
-            stack.append(_CloseFrame(ident))
-            for k, v in node.items():
-                stack.append(k)
-                stack.append(v)
             continue
         declared = getattr(node, "size_bytes", None)
         if type(declared) is int:
@@ -125,13 +138,9 @@ def deep_size_bytes(value: Any) -> int:
     return total
 
 
-class _CloseFrame:
-    """Stack sentinel: pops a container off the open-ancestor set."""
-
-    __slots__ = ("ident",)
-
-    def __init__(self, ident: int):
-        self.ident = ident
+#: Stack marker of :func:`deep_size_bytes`: the id below it leaves the
+#: open-ancestor set.
+_CLOSE = object()
 
 
 #: Registry of migratable agent classes by symbolic name.
@@ -165,9 +174,10 @@ class AgentSnapshot:
 
     def __post_init__(self) -> None:
         if self.size_bytes == 0:
-            self.size_bytes = (_OVERHEAD_PER_OBJECT
-                               + deep_size_bytes(self.agent_type)
-                               + deep_size_bytes(self.local_name)
+            # The two names are sized inline, by deep_size_bytes' rule.
+            self.size_bytes = (3 * _OVERHEAD_PER_OBJECT
+                               + len(self.agent_type.encode("utf-8"))
+                               + len(self.local_name.encode("utf-8"))
                                + deep_size_bytes(self.state))
 
     def instantiate(self) -> Any:

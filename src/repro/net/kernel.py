@@ -242,16 +242,31 @@ class EventLoop:
             raise SimulationError("event loop is re-entrant: run() called from a callback")
         self._running = True
         ran = 0
+        heappop = heapq.heappop
         try:
-            while True:
-                if max_events is not None and ran >= max_events:
+            while max_events is None or ran < max_events:
+                # Re-read each time: a compaction inside a callback rebinds
+                # the heap.
+                heap = self._heap
+                if not heap:
                     break
-                timer = self._peek_due()
-                if timer is None:
-                    break
+                timer = heap[0][2]
+                if timer.cancelled:
+                    heappop(heap)
+                    self._dead -= 1
+                    continue
                 if until is not None and timer.due > until:
                     break
-                self.step()
+                heappop(heap)
+                # The body of step(), inlined: one pop per event.
+                self._now = timer.due
+                timer.fired = True
+                self._processed += 1
+                obs = self.observability
+                if obs is None:
+                    timer.callback(*timer.args)
+                else:
+                    self._dispatch_traced(obs, timer)
                 ran += 1
         finally:
             self._running = False

@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.clock import HostClock
-from repro.net.kernel import EventLoop
+from repro.net.kernel import EventLoop, Timer
 from repro.obs.tracer import NULL_SPAN
 
 #: The two link traffic classes (see :func:`traffic_class`).
@@ -86,7 +85,6 @@ class DuplicateHostError(NetworkError):
     """A host with the same name is already part of the network."""
 
 
-@dataclass
 class Message:
     """A network message.
 
@@ -94,28 +92,38 @@ class Message:
     and handed verbatim to the destination handler for ``protocol``.
     """
 
-    source: str
-    destination: str
-    protocol: str
-    payload: Any
-    size_bytes: int
-    message_id: int = field(default=0)
-    sent_at: float = field(default=0.0)
+    __slots__ = ("source", "destination", "protocol", "payload",
+                 "size_bytes", "message_id", "sent_at")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative message size: {self.size_bytes}")
+    def __init__(self, source: str, destination: str, protocol: str,
+                 payload: Any, size_bytes: int, message_id: int = 0,
+                 sent_at: float = 0.0):
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self.source = source
+        self.destination = destination
+        self.protocol = protocol
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.message_id = message_id
+        self.sent_at = sent_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<Message {self.message_id} {self.source}->"
+                f"{self.destination} {self.protocol} {self.size_bytes}B>")
 
 
-@dataclass
 class DeliveryReceipt:
     """Outcome of a send: filled in when the message is delivered or dropped."""
 
-    message: Message
-    delivered: bool = False
-    dropped: bool = False
-    delivered_at: float = 0.0
-    hops: int = 0
+    __slots__ = ("message", "delivered", "dropped", "delivered_at", "hops")
+
+    def __init__(self, message: Message):
+        self.message = message
+        self.delivered = False
+        self.dropped = False
+        self.delivered_at = 0.0
+        self.hops = 0
 
     @property
     def in_flight(self) -> bool:
@@ -125,6 +133,11 @@ class DeliveryReceipt:
     def transfer_ms(self) -> float:
         """End-to-end transfer time; only meaningful once delivered."""
         return self.delivered_at - self.message.sent_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = ("delivered" if self.delivered
+                 else "dropped" if self.dropped else "in flight")
+        return f"<DeliveryReceipt {self.message!r} {state}>"
 
 
 MessageHandler = Callable[[Message], None]
@@ -209,14 +222,24 @@ class Host:
 
 
 class _BulkJob:
-    """One bulk message's passage over a link (see :class:`Link`)."""
+    """One bulk message's passage over a link (see :class:`Link`).
 
-    __slots__ = ("size_bytes", "remaining", "jitter", "lost", "finish_tx",
-                 "arrival", "flow", "dispatch", "on_arrival", "timer",
-                 "receipt", "on_dropped")
+    The route fields (``receipt``, ``path``, ``hop``, ``on_delivered``,
+    ``on_dropped``) say what the hop's landing does: deliver on the last
+    hop, forward to the next one otherwise (see
+    :meth:`Network._book_bulk`).  A direct :class:`Link` caller leaves
+    them unset.
+    """
 
-    def __init__(self, size_bytes: int, jitter: float, lost: bool, flow,
-                 dispatch, on_arrival, receipt, on_dropped):
+    __slots__ = ("link", "flow", "size_bytes", "remaining", "jitter", "lost",
+                 "finish_tx", "arrival", "book", "receipt", "path", "hop",
+                 "on_delivered", "on_dropped", "on_arrival")
+
+    def __init__(self, link: "Link", flow, size_bytes: int, jitter: float,
+                 lost: bool, book, receipt, path, hop: int, on_delivered,
+                 on_dropped, on_arrival):
+        self.link = link
+        self.flow = flow
         self.size_bytes = size_bytes
         #: Bytes still to serialize (fluid-model state; only authoritative
         #: while the job sits in its flow queue under contention).
@@ -229,14 +252,14 @@ class _BulkJob:
         #: :meth:`Link.book_bulk_window`), whose delivery is deferred to
         #: the shared batch timer.
         self.arrival = 0.0
-        self.flow = flow
-        #: Network-supplied scheduler: ``dispatch(arrival) -> Timer`` books
-        #: the delivery/forward event.  ``None`` for lost phantoms.
-        self.dispatch = dispatch
-        self.on_arrival = on_arrival
-        self.timer = None
+        #: ``book(job, arrival) -> Timer`` books the hop's landing.
+        self.book = book
         self.receipt = receipt
+        self.path = path
+        self.hop = hop
+        self.on_delivered = on_delivered
         self.on_dropped = on_dropped
+        self.on_arrival = on_arrival
 
 
 class _BulkFlow:
@@ -343,9 +366,12 @@ class Link:
         self._fluid_at = 0.0
         self._tick_timer = None
         self._loop: Optional[EventLoop] = None
-        #: Jobs fully serialized but still propagating (latency in flight);
-        #: kept so a hard link cut can cancel their deliveries.
-        self._latency_flight: List[_BulkJob] = []
+        #: Jobs whose landing is booked (serialized, propagating), each
+        #: with its timer, in booking order: kept so contention can pull
+        #: back a job still serializing and a hard cut can cancel the
+        #: landings.  An entry leaves when its timer fires (the landing
+        #: pops it), when contention pulls it back or when a cut aborts it.
+        self._flying: Dict[_BulkJob, Timer] = {}
         #: Analytic window batches in flight (see Network.send_window):
         #: whole uncontended window rounds booked under one kernel timer.
         self._batches: List["_BulkBatch"] = []
@@ -423,20 +449,22 @@ class Link:
     def enqueue_bulk(self, loop: EventLoop, now: float,
                      flow_key: Tuple[str, str], size_bytes: int,
                      rng: random.Random,
-                     dispatch: Optional[Callable[[float], Any]],
-                     receipt=None, on_dropped=None,
+                     book: Callable[[_BulkJob, float], Timer],
+                     receipt=None, path=None, hop: int = 0,
+                     on_delivered=None, on_dropped=None,
                      on_arrival: Optional[Callable[[float], None]] = None
                      ) -> Tuple[Optional[float], bool]:
         """Enqueue one bulk message; returns ``(arrival, lost)``.
 
-        ``dispatch(arrival)`` must book the delivery/forward event and
-        return its timer; the engine invokes it synchronously when the
-        finish time is already known (uncontended fast path, ``arrival`` is
-        returned non-``None``) or later, from its completion tick, when
-        flows contend (``arrival`` is ``None``; ``on_arrival`` fires once
-        the time is known).  A lost message is reported synchronously
-        (legacy drop timing) but still burns its wire time as a phantom in
-        the flow queue.
+        ``book(job, arrival)`` must book the hop's landing and return its
+        timer; the engine invokes it synchronously when the finish time is
+        already known (uncontended fast path, ``arrival`` is returned
+        non-``None``) or later, from its completion tick, when flows
+        contend (``arrival`` is ``None``; ``on_arrival`` fires once the
+        time is known).  The route fields ride on the job for ``book`` to
+        read.  A lost message is reported synchronously (legacy drop
+        timing) but still burns its wire time as a phantom in the flow
+        queue.
         """
         self._loop = loop
         flow = self._flow(flow_key)
@@ -451,9 +479,8 @@ class Link:
         else:
             self.bytes_dropped += size_bytes
             self.messages_dropped += 1
-        job = _BulkJob(size_bytes, jitter, lost, flow,
-                       None if lost else dispatch,
-                       None if lost else on_arrival, receipt, on_dropped)
+        job = _BulkJob(self, flow, size_bytes, jitter, lost, book, receipt,
+                       path, hop, on_delivered, on_dropped, on_arrival)
         if not self._contended:
             if not self._other_flow_busy(flow_key, now):
                 # Uncontended: exactly the legacy exclusive-reservation
@@ -469,9 +496,7 @@ class Link:
                     arrival = flow.last_arrival
                 flow.last_arrival = arrival
                 job.finish_tx = finish
-                job.timer = dispatch(arrival)
-                self._prune_latency_flight()
-                self._latency_flight.append(job)
+                self._flying[job] = book(job, arrival)
                 return arrival, False
             self._begin_contention(now)
         else:
@@ -493,9 +518,16 @@ class Link:
         is registered again."""
         busy = self._busy
         horizon = now + self._EPS
-        for key in [k for k, f in busy.items() if f.cursor <= horizon]:
+        while True:
+            for key, flow in busy.items():
+                if flow.cursor <= horizon:
+                    break
+            else:
+                return len(busy) > 1 or (len(busy) == 1
+                                         and flow_key not in busy)
+            # An idle flow, pruned outside the walk.  The table holds one
+            # or two flows, so a fresh walk per prune costs nothing.
             del busy[key]
-        return len(busy) > 1 or (len(busy) == 1 and flow_key not in busy)
 
     def bulk_window_eligible(self, flow_key: Tuple[str, str],
                              now: float) -> bool:
@@ -512,15 +544,15 @@ class Link:
                          ) -> List[_BulkJob]:
         """Analytic fast path: book one window round in a single event.
 
-        ``entries`` is ``[(size_bytes, dispatch, receipt, on_dropped)]``.
+        ``entries`` is ``[(size_bytes, book, receipt, on_dropped)]``.
         Every member's start / finish / arrival is the exact arithmetic
         :meth:`enqueue_bulk` would have produced uncontended (the wire is
         deterministic by precondition, so there are no RNG draws either
         way), but instead of one kernel timer per chunk a single timer at
         the *last* member's arrival fires ``complete(jobs)``, which
-        replays the deliveries in order.  ``dispatch`` is held in reserve:
-        if contention dissolves the batch mid-round, members fall back to
-        individually booked deliveries.
+        replays the deliveries in order.  ``book`` is held in reserve: if
+        contention dissolves the batch mid-round, members fall back to
+        individually booked landings.
 
         Caller must have checked :meth:`bulk_window_eligible`.
         """
@@ -530,13 +562,13 @@ class Link:
         last_arrival = flow.last_arrival
         latency = self.latency_ms
         jobs: List[_BulkJob] = []
-        for size, dispatch, receipt, on_dropped in entries:
+        for size, book, receipt, on_dropped in entries:
             tx = self.transmission_ms(size)
             self.class_busy_ms[BULK] += tx
             self.bytes_carried += size
             self.messages_carried += 1
-            job = _BulkJob(size, 0.0, False, flow, dispatch, None, receipt,
-                           on_dropped)
+            job = _BulkJob(self, flow, size, 0.0, False, book, receipt, None,
+                           0, None, on_dropped, None)
             cursor += tx
             job.finish_tx = cursor
             arrival = cursor + latency
@@ -558,11 +590,6 @@ class Link:
         batch.timer = None
         batch.complete(batch.jobs)
 
-    def _prune_latency_flight(self) -> None:
-        # Pruned per enqueue, not amortized: delivered payloads die at once.
-        self._latency_flight[:] = [j for j in self._latency_flight
-                                   if j.timer is not None and j.timer.active]
-
     def _begin_contention(self, now: float) -> None:
         """A second flow joined while the wire was occupied: switch from
         arithmetic reservations to the fluid processor-sharing model.
@@ -573,25 +600,26 @@ class Link:
         untransmitted remainder, and their booked deliveries cancelled.
         """
         full_rate = self.bandwidth_mbps * 125.0  # bytes per ms
-        still_flying: List[_BulkJob] = []
-        for job in self._latency_flight:
-            if job.timer is None or not job.timer.active:
+        # A direct caller's booking may leave a fired job in the table:
+        # the rebuild drops it.
+        flying = {}
+        for job, timer in self._flying.items():
+            if not timer.active:
                 continue
             if job.finish_tx > now + self._EPS:
-                job.timer.cancel()
-                job.timer = None
+                timer.cancel()
                 job.remaining = (job.finish_tx - now) * full_rate
                 self._queue(job)
             else:
-                still_flying.append(job)
-        self._latency_flight = still_flying
+                flying[job] = timer
+        self._flying = flying
         for batch in self._batches:
             # Dissolve analytic batches: a shared timer can no longer
             # stand in for per-member deliveries once the wire rate
             # changes.  Fully serialized members get individual delivery
             # events (late members deliver at ``now``); members still
             # serializing rejoin their flow queue with the untransmitted
-            # remainder, exactly like pulled-back latency-flight jobs.
+            # remainder, exactly like pulled-back propagating jobs.
             if batch.timer is not None and batch.timer.active:
                 batch.timer.cancel()
             batch.timer = None
@@ -601,8 +629,7 @@ class Link:
                     self._queue(job)
                 else:
                     when = job.arrival if job.arrival > now else now
-                    job.timer = job.dispatch(when)
-                    self._latency_flight.append(job)
+                    flying[job] = job.book(job, when)
         self._batches = []
         self._fluid_at = now
         self._contended = True
@@ -648,10 +675,9 @@ class Link:
         if arrival < flow.last_arrival:
             arrival = flow.last_arrival
         flow.last_arrival = arrival
-        job.timer = job.dispatch(arrival)
+        self._flying[job] = job.book(job, arrival)
         if job.on_arrival is not None:
             job.on_arrival(arrival)
-        self._latency_flight.append(job)
 
     def _bulk_tick(self) -> None:
         now = self._loop.now
@@ -710,7 +736,7 @@ class Link:
     def abort_bulk(self) -> List[_BulkJob]:
         """Hard cut: cancel every pending bulk job on this link.
 
-        Returns the cancelled jobs (queued and latency-flight alike) so
+        Returns the cancelled jobs (queued and propagating alike) so
         the network can settle the byte ledger and fail their receipts;
         lost phantoms were already reported and are simply discarded.
         """
@@ -743,11 +769,11 @@ class Link:
         # flow in _busy: zeroing those frees the gate for every flow.
         for flow in self._busy.values():
             flow.cursor = 0.0
-        for job in self._latency_flight:
-            if job.timer is not None and job.timer.active:
-                job.timer.cancel()
+        for job, timer in self._flying.items():
+            if timer.active:
+                timer.cancel()
                 aborted.append(job)
-        self._latency_flight = []
+        self._flying = {}
         self._contended = False
         return aborted
 
@@ -967,14 +993,19 @@ class Network:
         any host's connectivity changes (failures are never cached: the
         retry path wants a fresh look each time).
         """
+        return list(self._path(source, destination))
+
+    def _path(self, source: str, destination: str) -> List[str]:
+        """:meth:`route`'s cached list itself, which messages in flight
+        share: nothing may mutate it."""
         cached = self._route_cache.get((source, destination))
         if cached is not None:
             self.route_cache_hits += 1
-            return list(cached)
+            return cached
         path = self._route_bfs(source, destination)
         self._route_cache[(source, destination)] = path
         self.route_cache_misses += 1
-        return list(path)
+        return path
 
     def _route_bfs(self, source: str, destination: str) -> List[str]:
         if source not in self._hosts or destination not in self._hosts:
@@ -1024,7 +1055,7 @@ class Network:
         message = Message(source, destination, protocol, payload, size_bytes,
                           message_id=next(self._msg_ids), sent_at=self.loop.now)
         receipt = DeliveryReceipt(message)
-        path = self.route(source, destination)
+        path = self._path(source, destination)
         src.bytes_sent += size_bytes
         if len(path) == 1:
             self.loop.call_soon(self._deliver, receipt, on_delivered,
@@ -1070,28 +1101,22 @@ class Network:
             return None
         receipts: List[DeliveryReceipt] = []
         entries = []
-        deliver_cbs = []
-        for payload, size, on_delivered, on_dropped in chunks:
+        book = self._book_bulk
+        for payload, size, _, on_dropped in chunks:
             message = Message(source, destination, protocol, payload, size,
                               message_id=next(self._msg_ids), sent_at=now)
             receipt = DeliveryReceipt(message)
-
-            def dispatch(arrival: float, receipt=receipt,
-                         on_delivered=on_delivered, on_dropped=on_dropped):
-                # Fallback for a batch dissolved by contention: book this
-                # member's delivery individually, like enqueue_bulk would.
-                return loop.call_at(arrival, self._deliver, receipt,
-                                    on_delivered, on_dropped)
-
-            entries.append((size, dispatch, receipt, on_dropped))
-            deliver_cbs.append(on_delivered)
+            entries.append((size, book, receipt, on_dropped))
             receipts.append(receipt)
-        jobs = link.book_bulk_window(
-            loop, now, flow_key, entries,
-            lambda jobs: self._deliver_batch(jobs, deliver_cbs))
+        jobs = link.book_bulk_window(loop, now, flow_key, entries,
+                                     self._deliver_batch)
         obs = loop.observability
         queue_ms = link.bulk_queue_ms(flow_key, now)
-        for job, receipt in zip(jobs, receipts):
+        # The route a dissolved batch's member is booked by: one hop.
+        path = [source, destination]
+        for job, receipt, chunk in zip(jobs, receipts, chunks):
+            job.path = path
+            job.on_delivered = chunk[2]
             receipt.hops = 1
             src.bytes_sent += job.size_bytes
             self.bytes_on_wire += job.size_bytes
@@ -1103,7 +1128,7 @@ class Network:
             queue_ms += link.transmission_ms(job.size_bytes)
         return receipts
 
-    def _deliver_batch(self, jobs: List[_BulkJob], deliver_cbs) -> None:
+    def _deliver_batch(self, jobs: List[_BulkJob]) -> None:
         """Replay an analytic batch's member deliveries in order.
 
         Fired by the batch's single kernel timer at the *last* member's
@@ -1112,7 +1137,7 @@ class Network:
         analytic arrival, not the event's fire time.
         """
         obs = self.loop.observability
-        for job, on_delivered in zip(jobs, deliver_cbs):
+        for job in jobs:
             receipt = job.receipt
             size = receipt.message.size_bytes
             self.bytes_off_wire += size
@@ -1128,8 +1153,8 @@ class Network:
                 obs.ledger.message(job.arrival, receipt.message, True)
             dst.deliver(receipt.message)
             self.bytes_delivered_total += size
-            if on_delivered is not None:
-                on_delivered(receipt)
+            if job.on_delivered is not None:
+                job.on_delivered(receipt)
 
     def _proto_counter(self, metrics, kind: str, protocol: str):
         """Cached ``net.delivered`` / ``net.dropped`` counter handle.
@@ -1291,32 +1316,21 @@ class Network:
                       ) -> None:
         """One hop of a bulk-class message through the fair-share lane.
 
-        The delivery/forward event is booked by a dispatch closure so the
-        engine can invoke it either synchronously (uncontended: arithmetic
-        identical to the exclusive-reservation model, same kernel event
-        pattern) or from its completion tick once contention resolves the
-        finish time.
+        The link books the hop's landing through :meth:`_book_bulk`, from
+        the route fields it keeps on the job: synchronously when the wire
+        is uncontended (arithmetic identical to the exclusive-reservation
+        model, same kernel event pattern), or from its completion tick once
+        contention resolves the finish time.
         """
         message = receipt.message
         size = message.size_bytes
         flow_key = (message.source, message.destination)
-        if hop_index + 2 == len(path):
-            def dispatch(arrival: float):
-                return self.loop.call_at(arrival, self._deliver, receipt,
-                                         on_delivered, on_dropped)
-        else:
-            forward_delay = self._forward_delay.get(there, 0.0)
-
-            def dispatch(arrival: float):
-                return self.loop.call_at(arrival + forward_delay,
-                                         self._forward, receipt, path,
-                                         hop_index + 1, on_delivered,
-                                         on_dropped)
-        obs = self.loop.observability
+        loop = self.loop
+        obs = loop.observability
         on_arrival = None
         if obs is not None:
             # The queue wait and the seal serve only the hop's span.
-            queue_ms = link.bulk_queue_ms(flow_key, self.loop.now)
+            queue_ms = link.bulk_queue_ms(flow_key, loop.now)
             seal: Dict[str, Any] = {}
 
             def on_arrival(arrival: float) -> None:
@@ -1326,8 +1340,8 @@ class Network:
                     span.end(at=arrival)
 
         arrival, lost = link.enqueue_bulk(
-            self.loop, self.loop.now, flow_key, size, self.rng, dispatch,
-            receipt=receipt, on_dropped=on_dropped, on_arrival=on_arrival)
+            loop, loop.now, flow_key, size, self.rng, self._book_bulk,
+            receipt, path, hop_index, on_delivered, on_dropped, on_arrival)
         if obs is not None:
             span = self._observe_hop(obs, receipt, link, here, there,
                                      queue_ms, arrival, lost)
@@ -1346,6 +1360,25 @@ class Network:
             return
         receipt.hops += 1
         self.bytes_on_wire += size
+
+    def _book_bulk(self, job: _BulkJob, arrival: float) -> Timer:
+        """Book a bulk hop's landing at ``arrival``, the instant its last
+        byte reaches the far end: the delivery on the last hop, the next
+        hop's forward (after the relay's delay) otherwise."""
+        path = job.path
+        if job.hop + 2 < len(path):
+            arrival += self._forward_delay.get(path[job.hop + 1], 0.0)
+        return self.loop.call_at(arrival, self._land_bulk, job)
+
+    def _land_bulk(self, job: _BulkJob) -> None:
+        """A bulk hop's timer fired: the job leaves its link's table, and
+        the message is delivered or forwarded."""
+        del job.link._flying[job]
+        if job.hop + 2 == len(job.path):
+            self._deliver(job.receipt, job.on_delivered, job.on_dropped)
+        else:
+            self._forward(job.receipt, job.path, job.hop + 1,
+                          job.on_delivered, job.on_dropped)
 
     def _deliver(self, receipt: DeliveryReceipt,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],

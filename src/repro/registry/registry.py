@@ -25,6 +25,7 @@ from repro.ontology.triples import Literal
 from repro.registry.records import (
     ApplicationRecord,
     InterfaceDescription,
+    Operation,
     ResourceRecord,
 )
 
@@ -134,6 +135,23 @@ class RegistryCenter:
             shared = self._shared[key] = MappingProxyType(dict(mapping))
         return shared
 
+    def _share_interface(self, service_name: str, operations: List[Tuple],
+                         binding: str, description: str
+                         ) -> InterfaceDescription:
+        """An interface on this center's instances of its operation list
+        and binding.  ``operations`` holds ``(name, inputs, outputs)`` per
+        operation, inputs and outputs as tuples; a list the center holds
+        already builds no :class:`Operation`."""
+        key = ("operations",) + tuple(operations)
+        shared = self._shared.get(key)
+        if shared is None:
+            shared = self._shared[key] = tuple(
+                [Operation(*fields) for fields in operations])
+        return InterfaceDescription(
+            service_name, shared,
+            self._shared.setdefault(("binding", binding), binding),
+            description)
+
     def _share_fields(self, record: ApplicationRecord) -> None:
         """Point ``record`` at this center's instance of each value that
         other records repeat; the maps become read-only."""
@@ -142,17 +160,40 @@ class RegistryCenter:
                                   record.components)
         interface = record.interface
         if interface is not None:
-            record.interface = InterfaceDescription(
+            record.interface = self._share_interface(
                 interface.service_name,
-                share(("operations", interface.operations),
-                      interface.operations),
-                share(("binding", interface.binding), interface.binding),
-                interface.description)
+                [(op.name, op.inputs, op.outputs)
+                 for op in interface.operations],
+                interface.binding, interface.description)
         record.device_requirements = self._share_map(record.device_requirements)
         record.user_preferences = self._share_map(record.user_preferences)
 
+    def _parse_application(self, data: Dict[str, Any]) -> ApplicationRecord:
+        """:meth:`ApplicationRecord.from_dict` onto this center's shared
+        values: what :meth:`_share_fields` would make of the parsed record,
+        without building the values it would throw away."""
+        interface = data.get("interface")
+        if interface:
+            interface = self._share_interface(
+                interface["service_name"],
+                [(op["name"], tuple(op.get("inputs", ())),
+                  tuple(op.get("outputs", ())))
+                 for op in interface.get("operations", ())],
+                interface.get("binding", ""), interface.get("description", ""))
+        components = tuple(data.get("components", ()))
+        return ApplicationRecord(
+            data["app_name"], data["host"],
+            self._shared.setdefault(("components", components), components),
+            interface or None,
+            self._share_map(data.get("device_requirements", {})),
+            self._share_map(data.get("user_preferences", {})),
+            data.get("version", 1))
+
     def register_application(self, record: ApplicationRecord) -> None:
         self._share_fields(record)
+        self._store_application(record)
+
+    def _store_application(self, record: ApplicationRecord) -> None:
         by_host = self._applications.setdefault(record.app_name, {})
         existing = by_host.get(record.host)
         if existing is not None:
@@ -292,8 +333,8 @@ class RegistryCenter:
     def dispatch(self, operation: str, args: Dict[str, Any]) -> Any:
         """Execute one named operation (the RPC surface)."""
         if operation == "register_application":
-            return self.register_application(
-                ApplicationRecord.from_dict(args["record"]))
+            return self._store_application(
+                self._parse_application(args["record"]))
         if operation == "deregister_application":
             return self.deregister_application(args["app_name"], args["host"])
         if operation == "lookup_application":

@@ -13,6 +13,37 @@ from repro.agents.serialization import (
 )
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _rule(value):
+    """The documented size rule, written recursively."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return 16 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return 16 + len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 16 + sum(_rule(item) for item in value)
+    virtual = value.get("__virtual_bytes__")
+    extra = virtual if type(virtual) is int and virtual > 0 else 0
+    return 16 + extra + sum(_rule(k) + _rule(v) for k, v in value.items())
+
+
 class TestDeepSize:
     def test_primitives(self):
         assert deep_size_bytes(None) == 1
@@ -55,6 +86,36 @@ class TestDeepSize:
         max_leaves=20))
     def test_size_always_positive(self, value):
         assert deep_size_bytes(value) >= 1
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=8),
+                  st.binary(max_size=8),
+                  st.integers().map(_Int), st.text(max_size=8).map(_Str),
+                  st.binary(max_size=8).map(bytearray),
+                  st.frozensets(st.integers(), max_size=3)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=5), children,
+                            max_size=4).map(_Dict),
+            st.dictionaries(st.one_of(st.text(max_size=5),
+                                      st.just("__virtual_bytes__")),
+                            st.one_of(children, st.integers(-5, 500)),
+                            max_size=4)),
+        max_leaves=24))
+    def test_size_equals_the_recursive_rule(self, value):
+        """The walk gives the size the rule gives, subclasses included."""
+        assert deep_size_bytes(value) == _rule(value)
+
+    @given(st.text(max_size=12), st.text(max_size=12),
+           st.dictionaries(st.text(max_size=5), st.text(max_size=5),
+                           max_size=3))
+    def test_snapshot_sizes_its_names_by_the_same_rule(self, kind, name,
+                                                       state):
+        assert AgentSnapshot(kind, name, state).size_bytes == (
+            16 + deep_size_bytes(kind) + deep_size_bytes(name)
+            + deep_size_bytes(state))
 
     def test_bigger_payload_bigger_size(self):
         small = deep_size_bytes({"data": b"x" * 100})

@@ -58,7 +58,7 @@ def test_uncontended_gate_equals_a_scan_of_every_flow(steps):
     link = Link("a", "b", bandwidth_mbps=10.0, latency_ms=1.0)
     rng = _Draws()
 
-    def dispatch(arrival):
+    def dispatch(job, arrival):
         return loop.call_at(arrival, lambda: None)
 
     for step in steps:
@@ -97,7 +97,7 @@ def test_a_flow_that_drains_and_rejoins_keeps_its_first_seen_place():
     link = Link("a", "b", bandwidth_mbps=10.0, latency_ms=1.0)
     rng = _Draws()
 
-    def dispatch(arrival):
+    def dispatch(job, arrival):
         return loop.call_at(arrival, lambda: None)
 
     small, big = 1_000, 1_000_000

@@ -8,6 +8,8 @@ model (the frozen migration goldens enforce that end to end; here we pin
 the per-link arithmetic directly).
 """
 
+import weakref
+
 import pytest
 
 from repro.net.kernel import EventLoop
@@ -246,3 +248,107 @@ def test_hard_cut_drops_contended_bulk_jobs():
     assert net.bytes_on_wire == net.bytes_off_wire
     # The retired counters keep the per-link reconciliation balanced.
     assert net.retired_link_bytes == 250_000
+
+
+class _Payload:
+    """A weak-referenceable payload."""
+
+
+def make_chain(*names, latency=1.0, **kwargs):
+    loop = EventLoop()
+    net = Network(loop)
+    for name in names:
+        net.create_host(name)
+        net.host(name).register_handler("test.bulk", lambda m: None)
+    for a, b in zip(names, names[1:]):
+        net.connect(a, b, bandwidth_mbps=10.0, latency_ms=latency, **kwargs)
+    return loop, net
+
+
+@pytest.mark.parametrize("names", [("h1", "h2"), ("a", "b", "c")])
+def test_delivered_bulk_chunk_is_released_at_once(names):
+    loop, net = make_chain(*names)
+    payload = _Payload()
+    alive = weakref.ref(payload)
+    receipt = net.send(names[0], names[-1], "test.bulk", payload, 12_500)
+    del payload
+    loop.run()
+    assert receipt.delivered and receipt.hops == len(names) - 1
+    del receipt
+    assert alive() is None  # no gc.collect(): nothing holds it any more
+    assert all(not link._flying for link in net.links)
+
+
+def test_contended_lossy_burst_tables_exactly_the_unfired_bookings():
+    """After every event, each link's table holds the jobs whose latest
+    booked landing has not fired yet, in booking order: bookings the
+    contention pulled back, the relay's forwards and lost chunks never
+    linger there."""
+    loop, net = make_chain("a", "b", "c", latency=3.0, loss_rate=0.2)
+    book = net._book_bulk
+    booked = {}  # job -> its latest landing timer, in booking order
+
+    def recording_book(job, arrival):
+        timer = book(job, arrival)
+        booked.pop(job, None)
+        booked[job] = timer
+        return timer
+
+    net._book_bulk = recording_book
+    sends = [("a", "c"), ("c", "a"), ("a", "b"), ("b", "a"), ("c", "b")]
+    for k in range(60):
+        source, destination = sends[k % len(sends)]
+        loop.call_at(k * 0.7, net.send, source, destination, "test.bulk",
+                     None, 1_000 + 97 * k)
+
+    def check():
+        for link in net.links:
+            assert list(link._flying.items()) == [
+                (job, timer) for job, timer in booked.items()
+                if timer.active and job.link is link]
+
+    check()
+    while loop.step():
+        check()
+    assert net.messages_dropped > 0 and booked
+    assert all(not link._flying for link in net.links)
+    assert net.bytes_on_wire == net.bytes_off_wire
+
+
+#: The drops of the cut below, as the per-link list of propagating jobs
+#: (before the table replaced it) made them: each flow's queued jobs by
+#: first-seen rank, the dissolved window batch's members among them, then
+#: the propagating jobs in booking order, all at the cut; then the
+#: messages that reach the relay after it.
+PINNED_CUT_ORDER = [
+    ("w1", 31.0), ("w2", 31.0), ("w3", 31.0), ("ba1", 31.0), ("ba2", 31.0),
+    ("ac1", 31.0), ("ac2", 31.0), ("ac0", 31.0), ("w0", 31.0), ("ba0", 31.0),
+    ("ca0", 33.8), ("ca1", 42.6), ("ca2", 51.400000000000006)]
+
+
+def test_hard_cut_during_contention_drops_in_the_pinned_order():
+    """A hard cut of a contended link mid-burst, whose window batch
+    contention dissolved, drops the same receipts in the same order as
+    before the link kept its propagating jobs in a table."""
+    loop, net = make_chain("a", "b", "c", latency=20.0)
+    drops = []
+
+    def send(label, source, destination, size):
+        net.send(source, destination, "test.bulk", None, size,
+                 on_dropped=lambda r: drops.append((label, loop.now)))
+
+    def window():
+        chunks = [(None, 12_500, None,
+                   lambda r, k=k: drops.append((f"w{k}", loop.now)))
+                  for k in range(4)]
+        assert net.send_window("a", "b", "test.bulk", chunks) is not None
+
+    loop.call_at(0.0, window)
+    for k in range(3):
+        loop.call_at(3.0 + k, send, f"ba{k}", "b", "a", 9_000)
+        loop.call_at(4.0 + k, send, f"ac{k}", "a", "c", 7_000)
+        loop.call_at(5.0 + k, send, f"ca{k}", "c", "a", 11_000)
+    loop.call_at(31.0, net.disconnect, "a", "b", True)
+    loop.run()
+    assert drops == PINNED_CUT_ORDER
+    assert net.bytes_on_wire == net.bytes_off_wire

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.net.kernel import EventLoop, SimulationError
@@ -332,6 +334,91 @@ def test_property_dispatch_follows_due_then_booking_order(data):
                   if not timer.cancelled)
     assert fired == [index for _, index in live]
     assert loop.pending == 0
+
+
+#: Delays a scripted callback books at: ties at the same instant are common.
+_DELAYS = (0.0, 0.0, 0.5, 1.0, 3.0)
+
+
+def _scripted_loop(seed, initial, burst):
+    """A loop of ``initial`` timers on 40 instants, and the log its
+    callbacks keep: each fired timer logs ``(index, clock)``, then books a
+    timer, cancels one or does nothing, as a seeded script says.  The first
+    one to fire cancels ``burst`` timers at once, enough to compact the
+    heap inside the callback.  Also returns a counter of compactions."""
+    rng = random.Random(seed)
+    loop = EventLoop()
+    log, timers, compactions = [], [], [0]
+    compact = loop._compact
+
+    def counted_compact():
+        compactions[0] += 1
+        compact()
+
+    loop._compact = counted_compact
+
+    def book(due):
+        timers.append(loop.call_at(due, fire, len(timers)))
+
+    def fire(index):
+        log.append((index, loop.now))
+        if len(log) == 1:
+            for timer in rng.sample(timers, min(burst, len(timers))):
+                timer.cancel()
+        roll = rng.random()
+        if roll < 0.3:
+            book(loop.now + rng.choice(_DELAYS))
+        elif roll < 0.5:
+            timers[rng.randrange(len(timers))].cancel()
+
+    for _ in range(initial):
+        book(float(rng.randrange(40)))
+    return loop, log, compactions
+
+
+def _run_by_steps(loop, until, max_events):
+    """The reference: ``run(until, max_events)`` as one ``step()`` per
+    event, with ``run``'s rule for where the clock stops."""
+    ran = 0
+    while max_events is None or ran < max_events:
+        due = loop._peek_due()
+        if due is None or (until is not None and due.due > until):
+            break
+        loop.step()
+        ran += 1
+    if until is not None and until > loop.now:
+        due = loop._peek_due()
+        if due is None or due.due > until:
+            loop._now = until
+    return ran
+
+
+@given(seed=st.integers(0, 2**32 - 1), initial=st.integers(1, 500),
+       burst=st.sampled_from([0, 300]),
+       segments=st.lists(st.tuples(
+           st.one_of(st.none(), st.floats(0.0, 50.0)),
+           st.one_of(st.none(), st.integers(0, 300))), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_property_run_fires_what_one_step_per_event_fires(
+        seed, initial, burst, segments):
+    """``run(until=, max_events=)`` fires the same callbacks, in the same
+    order and at the same clock readings, as one ``step()`` per event --
+    through same-instant ties, a compaction inside a callback and
+    callbacks that book or cancel timers.  Each segment's ``until`` lies
+    its drawn offset past the clock; a last ``run()`` drains the queue."""
+    fast, fast_log, compactions = _scripted_loop(seed, initial, burst)
+    slow, slow_log, _ = _scripted_loop(seed, initial, burst)
+    for offset, max_events in segments + [(None, None)]:
+        until = None if offset is None else fast.now + offset
+        ran = fast.run(until=until, max_events=max_events)
+        assert ran == _run_by_steps(slow, until, max_events)
+        assert fast_log == slow_log
+        assert fast.now == slow.now
+        assert (fast.processed, fast.pending, fast.heap_depth) == \
+            (slow.processed, slow.pending, slow.heap_depth)
+    assert fast.pending == 0
+    if burst and initial >= burst:
+        assert compactions[0] > 0  # the burst compacted inside a callback
 
 
 def test_scale_bench_behaviour_digest_is_pinned():
