@@ -126,10 +126,6 @@ class DeliveryReceipt:
         self.hops = 0
 
     @property
-    def in_flight(self) -> bool:
-        return not (self.delivered or self.dropped)
-
-    @property
     def transfer_ms(self) -> float:
         """End-to-end transfer time; only meaningful once delivered."""
         return self.delivered_at - self.message.sent_at
@@ -221,26 +217,48 @@ class Host:
         return f"<Host {self.name} space={self.space}>"
 
 
-class _BulkJob:
-    """One bulk message's passage over a link (see :class:`Link`).
+class _Hop:
+    """One message's passage over one link, of either lane (see
+    :attr:`Link._flying`).
 
     The route fields (``receipt``, ``path``, ``hop``, ``on_delivered``,
     ``on_dropped``) say what the hop's landing does: deliver on the last
-    hop, forward to the next one otherwise (see
-    :meth:`Network._book_bulk`).  A direct :class:`Link` caller leaves
-    them unset.
+    hop, forward to the next one otherwise (see :meth:`Network._land`).
     """
 
-    __slots__ = ("link", "flow", "size_bytes", "remaining", "jitter", "lost",
-                 "finish_tx", "arrival", "book", "receipt", "path", "hop",
-                 "on_delivered", "on_dropped", "on_arrival")
+    __slots__ = ("link", "size_bytes", "receipt", "path", "hop",
+                 "on_delivered", "on_dropped")
+
+    #: A control hop queues in no bulk flow and has no span to seal;
+    #: :class:`_BulkJob` gives both a slot of its own.
+    flow = None
+    on_arrival = None
+
+    def __init__(self, link: "Link", size_bytes: int, receipt, path,
+                 hop: int, on_delivered, on_dropped):
+        self.link = link
+        self.size_bytes = size_bytes
+        self.receipt = receipt
+        self.path = path
+        self.hop = hop
+        self.on_delivered = on_delivered
+        self.on_dropped = on_dropped
+
+
+class _BulkJob(_Hop):
+    """A bulk hop: the route fields plus the fluid-model state of its
+    flow's queue.  A direct :class:`Link` caller leaves the route fields
+    unset."""
+
+    __slots__ = ("flow", "remaining", "jitter", "lost", "finish_tx",
+                 "arrival", "book", "on_arrival")
 
     def __init__(self, link: "Link", flow, size_bytes: int, jitter: float,
                  lost: bool, book, receipt, path, hop: int, on_delivered,
                  on_dropped, on_arrival):
-        self.link = link
+        _Hop.__init__(self, link, size_bytes, receipt, path, hop,
+                      on_delivered, on_dropped)
         self.flow = flow
-        self.size_bytes = size_bytes
         #: Bytes still to serialize (fluid-model state; only authoritative
         #: while the job sits in its flow queue under contention).
         self.remaining = float(size_bytes)
@@ -254,11 +272,6 @@ class _BulkJob:
         self.arrival = 0.0
         #: ``book(job, arrival) -> Timer`` books the hop's landing.
         self.book = book
-        self.receipt = receipt
-        self.path = path
-        self.hop = hop
-        self.on_delivered = on_delivered
-        self.on_dropped = on_dropped
         self.on_arrival = on_arrival
 
 
@@ -366,12 +379,12 @@ class Link:
         self._fluid_at = 0.0
         self._tick_timer = None
         self._loop: Optional[EventLoop] = None
-        #: Jobs whose landing is booked (serialized, propagating), each
-        #: with its timer, in booking order: kept so contention can pull
-        #: back a job still serializing and a hard cut can cancel the
+        #: Hops of both lanes whose landing is booked, each with its
+        #: timer, in booking order: kept so contention can pull back a
+        #: bulk job still serializing and a hard cut can cancel the
         #: landings.  An entry leaves when its timer fires (the landing
         #: pops it), when contention pulls it back or when a cut aborts it.
-        self._flying: Dict[_BulkJob, Timer] = {}
+        self._flying: Dict[_Hop, Timer] = {}
         #: Analytic window batches in flight (see Network.send_window):
         #: whole uncontended window rounds booked under one kernel timer.
         self._batches: List["_BulkBatch"] = []
@@ -382,9 +395,6 @@ class Link:
 
     def endpoints(self) -> Tuple[str, str]:
         return (self.a, self.b)
-
-    def connects(self, x: str, y: str) -> bool:
-        return {x, y} == {self.a, self.b}
 
     def transmission_ms(self, size_bytes: int) -> float:
         """Time to serialize ``size_bytes`` onto the wire (no latency)."""
@@ -515,12 +525,13 @@ class Link:
         both register their flow in ``_busy``; a fluid completion sets
         the cursor to the current instant and a hard cut to zero.  Since
         ``now`` never goes back, a flow pruned here stays idle until it
-        is registered again."""
+        is registered again.  The caller's own entry is never another
+        flow, so it stays: the enqueue would register it again."""
         busy = self._busy
         horizon = now + self._EPS
         while True:
             for key, flow in busy.items():
-                if flow.cursor <= horizon:
+                if flow.cursor <= horizon and key != flow_key:
                     break
             else:
                 return len(busy) > 1 or (len(busy) == 1
@@ -601,12 +612,12 @@ class Link:
         """
         full_rate = self.bandwidth_mbps * 125.0  # bytes per ms
         # A direct caller's booking may leave a fired job in the table:
-        # the rebuild drops it.
+        # the rebuild drops it.  Control hops keep their place.
         flying = {}
         for job, timer in self._flying.items():
             if not timer.active:
                 continue
-            if job.finish_tx > now + self._EPS:
+            if job.flow is not None and job.finish_tx > now + self._EPS:
                 timer.cancel()
                 job.remaining = (job.finish_tx - now) * full_rate
                 self._queue(job)
@@ -739,6 +750,9 @@ class Link:
         Returns the cancelled jobs (queued and propagating alike) so
         the network can settle the byte ledger and fail their receipts;
         lost phantoms were already reported and are simply discarded.
+        The table's control hops must be cancelled first (see
+        :meth:`Network.disconnect`): a fired or cancelled timer's entry
+        is skipped, and the table is emptied.
         """
         aborted: List[_BulkJob] = []
         if self._tick_timer is not None and self._tick_timer.active:
@@ -842,12 +856,6 @@ class Network:
         #: Carried+dropped totals of links since removed by disconnect(),
         #: so the link-level reconciliation survives topology changes.
         self.retired_link_bytes = 0
-        # Control-lane hops in flight, by message id: (link, timer, receipt,
-        # on_dropped), so a hard link cut (disconnect(drop_in_flight=True))
-        # can cancel the pending deliveries and fail their receipts.  An
-        # entry leaves when its timer fires or its link is cut.
-        self._in_flight: Dict[int, Tuple[Link, Any, DeliveryReceipt,
-                                         Optional[Callable]]] = {}
         # O(1) link lookup by (endpoint, endpoint); maintained by
         # connect()/disconnect().  link_between() used to scan the
         # adjacency list, which is a per-hop cost on every send.
@@ -934,27 +942,27 @@ class Network:
         # connect() of the same pair builds a fresh Link: zeroed counters,
         # idle lanes (busy_until == last_arrival == 0).
         self.retired_link_bytes += link.bytes_carried + link.bytes_dropped
-        in_flight = self._in_flight
-        entries = [e for e in in_flight.values() if e[0] is link]
-        for _, _, receipt, _ in entries:
-            del in_flight[receipt.message.message_id]
         if drop_in_flight:
-            for _, timer, receipt, on_dropped in entries:
-                timer.cancel()
-                # The cancelled timer was this message's off-wire event
-                # (delivery or next-hop forward), so settle the ledger
-                # here: the bytes left the wire by being destroyed.
-                self.bytes_off_wire += receipt.message.size_bytes
-                self._drop(receipt, on_dropped)
+            # Control hops first, in booking order, then the bulk lane's
+            # jobs in the order its abort gives them.  The abort also
+            # delivers a window batch's arrived members, after the drops.
+            for hop, timer in list(link._flying.items()):
+                if hop.flow is None:
+                    timer.cancel()
+                    self._destroy(hop)
             for job in link.abort_bulk():
-                # Bulk jobs (queued, serializing or propagating) went
-                # on-wire at enqueue; destroy them and settle likewise.
-                self.bytes_off_wire += job.size_bytes
-                if job.on_arrival is not None:
-                    # Seal the hop span at the cut instant.
-                    job.on_arrival(self.loop.now)
-                self._drop(job.receipt, job.on_dropped)
+                self._destroy(job)
         return link
+
+    def _destroy(self, hop: _Hop) -> None:
+        """Drop a hop a hard cut destroyed.  Its cancelled timer was its
+        off-wire event, so the ledger settles here: the bytes left the
+        wire by being destroyed."""
+        self.bytes_off_wire += hop.size_bytes
+        if hop.on_arrival is not None:
+            # Seal the hop span at the cut instant.
+            hop.on_arrival(self.loop.now)
+        self._drop(hop.receipt, hop.on_dropped)
 
     def set_forward_delay(self, host: str, delay_ms: float) -> None:
         """Charge ``delay_ms`` whenever ``host`` forwards a multi-hop message
@@ -1059,7 +1067,7 @@ class Network:
         src.bytes_sent += size_bytes
         if len(path) == 1:
             self.loop.call_soon(self._deliver, receipt, on_delivered,
-                                on_dropped)
+                                on_dropped, self.loop.now)
             return receipt
         self._forward(receipt, path, 0, on_delivered, on_dropped)
         return receipt
@@ -1101,7 +1109,7 @@ class Network:
             return None
         receipts: List[DeliveryReceipt] = []
         entries = []
-        book = self._book_bulk
+        book = self._book
         for payload, size, _, on_dropped in chunks:
             message = Message(source, destination, protocol, payload, size,
                               message_id=next(self._msg_ids), sent_at=now)
@@ -1129,32 +1137,17 @@ class Network:
         return receipts
 
     def _deliver_batch(self, jobs: List[_BulkJob]) -> None:
-        """Replay an analytic batch's member deliveries in order.
+        """Land an analytic batch's members in order.
 
         Fired by the batch's single kernel timer at the *last* member's
         arrival (or early, with an arrived prefix, when a hard link cut
         dissolves the batch); each receipt is stamped with its own
         analytic arrival, not the event's fire time.
         """
-        obs = self.loop.observability
         for job in jobs:
-            receipt = job.receipt
-            size = receipt.message.size_bytes
-            self.bytes_off_wire += size
-            dst = self._hosts[receipt.message.destination]
-            if not dst.online:
-                self._drop(receipt, job.on_dropped)
-                continue
-            receipt.delivered = True
-            receipt.delivered_at = job.arrival
-            if obs is not None:
-                self._proto_counter(obs.metrics, "delivered",
-                                    receipt.message.protocol).inc()
-                obs.ledger.message(job.arrival, receipt.message, True)
-            dst.deliver(receipt.message)
-            self.bytes_delivered_total += size
-            if job.on_delivered is not None:
-                job.on_delivered(receipt)
+            self.bytes_off_wire += job.size_bytes
+            self._deliver(job.receipt, job.on_delivered, job.on_dropped,
+                          job.arrival)
 
     def _proto_counter(self, metrics, kind: str, protocol: str):
         """Cached ``net.delivered`` / ``net.dropped`` counter handle.
@@ -1260,12 +1253,16 @@ class Network:
     def _forward(self, receipt: DeliveryReceipt, path: List[str], hop_index: int,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
                  on_dropped: Optional[Callable[[DeliveryReceipt], None]]) -> None:
+        """Put the message on the wire for hop ``hop_index`` of ``path``.
+
+        The lanes differ only in how the arrival is reserved.  A control
+        hop reserves its lane and is booked here; a bulk hop joins its
+        flow, and the link books it through :meth:`_book`: at once when
+        the wire is uncontended (arithmetic identical to the
+        exclusive-reservation model, same kernel event pattern), or from
+        its completion tick once contention resolves the finish time.
+        """
         here, there = path[hop_index], path[hop_index + 1]
-        if hop_index > 0:
-            # Arrived at a relay: the previous hop's bytes are off the wire
-            # whether or not this host can forward them onward.
-            self.bytes_off_wire += receipt.message.size_bytes
-            self._in_flight.pop(receipt.message.message_id, None)
         if hop_index > 0 and not self._hosts[here].online:
             # The relay crashed while the message was in flight towards it
             # (store-and-forward: an offline gateway loses the message).
@@ -1277,128 +1274,97 @@ class Network:
             # been disconnected (e.g. a link-down fault mid-path).
             self._drop(receipt, on_dropped)
             return
-        if traffic_class(receipt.message.protocol) == BULK:
-            self._forward_bulk(receipt, link, path, hop_index, here, there,
-                               on_delivered, on_dropped)
-            return
-        queue_ms = max(0.0, link.busy_until - self.loop.now)
-        arrival, lost = link.schedule_transfer(
-            self.loop.now, receipt.message.size_bytes, self.rng)
-        obs = self.loop.observability
-        if obs is not None:
-            self._observe_hop(obs, receipt, link, here, there, queue_ms,
-                              arrival, lost)
-        if lost:
-            # A lossy-link loss is synchronous, but the phantom occupied
-            # the wire (busy_until advanced), so it enters and leaves the
-            # ledger in one step -- bytes_on_wire balances under loss.
-            self.bytes_on_wire += receipt.message.size_bytes
-            self.bytes_off_wire += receipt.message.size_bytes
-            self._drop(receipt, on_dropped)
-            return
-        receipt.hops += 1
-        self.bytes_on_wire += receipt.message.size_bytes
-        if hop_index + 2 == len(path):
-            timer = self.loop.call_at(arrival, self._deliver, receipt,
-                                      on_delivered, on_dropped)
-        else:
-            delay = self._forward_delay.get(there, 0.0)
-            timer = self.loop.call_at(arrival + delay, self._forward, receipt,
-                                      path, hop_index + 1, on_delivered,
-                                      on_dropped)
-        self._in_flight[receipt.message.message_id] = (link, timer, receipt,
-                                                       on_dropped)
-
-    def _forward_bulk(self, receipt: DeliveryReceipt, link: Link,
-                      path: List[str], hop_index: int, here: str, there: str,
-                      on_delivered: Optional[Callable[[DeliveryReceipt], None]],
-                      on_dropped: Optional[Callable[[DeliveryReceipt], None]]
-                      ) -> None:
-        """One hop of a bulk-class message through the fair-share lane.
-
-        The link books the hop's landing through :meth:`_book_bulk`, from
-        the route fields it keeps on the job: synchronously when the wire
-        is uncontended (arithmetic identical to the exclusive-reservation
-        model, same kernel event pattern), or from its completion tick once
-        contention resolves the finish time.
-        """
         message = receipt.message
         size = message.size_bytes
-        flow_key = (message.source, message.destination)
         loop = self.loop
         obs = loop.observability
-        on_arrival = None
-        if obs is not None:
-            # The queue wait and the seal serve only the hop's span.
-            queue_ms = link.bulk_queue_ms(flow_key, loop.now)
-            seal: Dict[str, Any] = {}
+        if message.protocol in _BULK_PROTOCOLS:  # see traffic_class
+            flow_key = (message.source, message.destination)
+            on_arrival = None
+            if obs is not None:
+                # The queue wait and the seal serve only the hop's span.
+                queue_ms = link.bulk_queue_ms(flow_key, loop.now)
+                seal: Dict[str, Any] = {}
 
-            def on_arrival(arrival: float) -> None:
-                span = seal.get("span")
-                if span is not None and not seal.get("done"):
+                def on_arrival(arrival: float) -> None:
+                    span = seal.get("span")
+                    if span is not None and not seal.get("done"):
+                        seal["done"] = True
+                        span.end(at=arrival)
+
+            arrival, lost = link.enqueue_bulk(
+                loop, loop.now, flow_key, size, self.rng, self._book,
+                receipt, path, hop_index, on_delivered, on_dropped,
+                on_arrival)
+            if obs is not None:
+                span = self._observe_hop(obs, receipt, link, here, there,
+                                         queue_ms, arrival, lost)
+                if arrival is not None or lost:
                     seal["done"] = True
-                    span.end(at=arrival)
-
-        arrival, lost = link.enqueue_bulk(
-            loop, loop.now, flow_key, size, self.rng, self._book_bulk,
-            receipt, path, hop_index, on_delivered, on_dropped, on_arrival)
-        if obs is not None:
-            span = self._observe_hop(obs, receipt, link, here, there,
-                                     queue_ms, arrival, lost)
-            if arrival is not None or lost:
-                seal["done"] = True
-            else:
-                seal["span"] = span
-            if link.bulk_contended:
-                self._observe_contention(obs, link)
+                else:
+                    seal["span"] = span
+                if link.bulk_contended:
+                    self._observe_contention(obs, link)
+        else:
+            queue_ms = max(0.0, link.busy_until - loop.now)
+            arrival, lost = link.schedule_transfer(loop.now, size, self.rng)
+            if obs is not None:
+                self._observe_hop(obs, receipt, link, here, there, queue_ms,
+                                  arrival, lost)
+            if not lost:
+                hop = _Hop(link, size, receipt, path, hop_index,
+                           on_delivered, on_dropped)
+                link._flying[hop] = self._book(hop, arrival)
+        self.bytes_on_wire += size
         if lost:
-            # Synchronous drop (legacy timing); the phantom still burns its
-            # wire time in the flow queue, so ledger in-and-out as above.
-            self.bytes_on_wire += size
+            # A lossy-link loss is synchronous, but the phantom occupied
+            # the wire (the control lane's reservation, or wire time the
+            # bulk flow queue burns), so it enters and leaves the ledger
+            # in one step -- bytes_on_wire balances under loss.
             self.bytes_off_wire += size
             self._drop(receipt, on_dropped)
             return
         receipt.hops += 1
-        self.bytes_on_wire += size
 
-    def _book_bulk(self, job: _BulkJob, arrival: float) -> Timer:
-        """Book a bulk hop's landing at ``arrival``, the instant its last
-        byte reaches the far end: the delivery on the last hop, the next
-        hop's forward (after the relay's delay) otherwise."""
-        path = job.path
-        if job.hop + 2 < len(path):
-            arrival += self._forward_delay.get(path[job.hop + 1], 0.0)
-        return self.loop.call_at(arrival, self._land_bulk, job)
+    def _book(self, hop: _Hop, arrival: float) -> Timer:
+        """Book a hop's landing at ``arrival``, the instant its last byte
+        reaches the far end, plus the relay's forward delay when the
+        message travels on."""
+        path = hop.path
+        if hop.hop + 2 < len(path):
+            arrival += self._forward_delay.get(path[hop.hop + 1], 0.0)
+        return self.loop.call_at(arrival, self._land, hop)
 
-    def _land_bulk(self, job: _BulkJob) -> None:
-        """A bulk hop's timer fired: the job leaves its link's table, and
-        the message is delivered or forwarded."""
-        del job.link._flying[job]
-        if job.hop + 2 == len(job.path):
-            self._deliver(job.receipt, job.on_delivered, job.on_dropped)
+    def _land(self, hop: _Hop) -> None:
+        """A hop's timer fired: the hop leaves its link's table and its
+        bytes leave the wire (at a relay, whether or not the relay can
+        forward them), and the message is delivered or forwarded."""
+        del hop.link._flying[hop]
+        self.bytes_off_wire += hop.size_bytes
+        if hop.hop + 2 == len(hop.path):
+            self._deliver(hop.receipt, hop.on_delivered, hop.on_dropped,
+                          self.loop.now)
         else:
-            self._forward(job.receipt, job.path, job.hop + 1,
-                          job.on_delivered, job.on_dropped)
+            self._forward(hop.receipt, hop.path, hop.hop + 1,
+                          hop.on_delivered, hop.on_dropped)
 
     def _deliver(self, receipt: DeliveryReceipt,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
-                 on_dropped: Optional[Callable[[DeliveryReceipt], None]] = None
-                 ) -> None:
+                 on_dropped: Optional[Callable[[DeliveryReceipt], None]],
+                 at: float) -> None:
+        """Hand the message to its destination, stamped ``at``: the
+        landing's instant, or a batch member's analytic arrival."""
         dst = self._hosts[receipt.message.destination]
-        if receipt.hops:
-            # Came in over a link (hops == 0 means local delivery).
-            self.bytes_off_wire += receipt.message.size_bytes
-            self._in_flight.pop(receipt.message.message_id, None)
         if not dst.online:
             self._drop(receipt, on_dropped)
             return
         receipt.delivered = True
-        receipt.delivered_at = self.loop.now
+        receipt.delivered_at = at
         obs = self.loop.observability
         if obs is not None:
             self._proto_counter(obs.metrics, "delivered",
                                 receipt.message.protocol).inc()
-            obs.ledger.message(self.loop.now, receipt.message, True)
+            obs.ledger.message(at, receipt.message, True)
         dst.deliver(receipt.message)
         self.bytes_delivered_total += receipt.message.size_bytes
         if on_delivered is not None:

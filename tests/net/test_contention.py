@@ -280,37 +280,42 @@ def test_delivered_bulk_chunk_is_released_at_once(names):
 
 
 def test_contended_lossy_burst_tables_exactly_the_unfired_bookings():
-    """After every event, each link's table holds the jobs whose latest
-    booked landing has not fired yet, in booking order: bookings the
-    contention pulled back, the relay's forwards and lost chunks never
-    linger there."""
+    """After every event, each link's table holds the hops of both lanes
+    whose latest booked landing has not fired yet, in booking order:
+    bookings the contention pulled back, the relay's forwards and lost
+    messages never linger there."""
     loop, net = make_chain("a", "b", "c", latency=3.0, loss_rate=0.2)
-    book = net._book_bulk
-    booked = {}  # job -> its latest landing timer, in booking order
+    for name in ("a", "b", "c"):
+        net.host(name).register_handler("ctl", lambda m: None)
+    book = net._book
+    booked = {}  # hop -> its latest landing timer, in booking order
 
-    def recording_book(job, arrival):
-        timer = book(job, arrival)
-        booked.pop(job, None)
-        booked[job] = timer
+    def recording_book(hop, arrival):
+        timer = book(hop, arrival)
+        booked.pop(hop, None)
+        booked[hop] = timer
         return timer
 
-    net._book_bulk = recording_book
+    net._book = recording_book
     sends = [("a", "c"), ("c", "a"), ("a", "b"), ("b", "a"), ("c", "b")]
     for k in range(60):
         source, destination = sends[k % len(sends)]
         loop.call_at(k * 0.7, net.send, source, destination, "test.bulk",
                      None, 1_000 + 97 * k)
+        loop.call_at(k * 0.7 + 0.3, net.send, destination, source, "ctl",
+                     None, 64 + 13 * k)
 
     def check():
         for link in net.links:
             assert list(link._flying.items()) == [
-                (job, timer) for job, timer in booked.items()
-                if timer.active and job.link is link]
+                (hop, timer) for hop, timer in booked.items()
+                if timer.active and hop.link is link]
 
     check()
     while loop.step():
         check()
-    assert net.messages_dropped > 0 and booked
+    assert net.messages_dropped > 0
+    assert {hop.flow is None for hop in booked} == {True, False}
     assert all(not link._flying for link in net.links)
     assert net.bytes_on_wire == net.bytes_off_wire
 
@@ -351,4 +356,83 @@ def test_hard_cut_during_contention_drops_in_the_pinned_order():
     loop.call_at(31.0, net.disconnect, "a", "b", True)
     loop.run()
     assert drops == PINNED_CUT_ORDER
+    assert net.bytes_on_wire == net.bytes_off_wire
+
+
+#: The log of the mixed-lane cut below, from a run of the same scenario
+#: before both lanes shared the link's table: the control hops first, in
+#: booking order, then the bulk lane's queued jobs by flow rank and its
+#: booked jobs in booking order, all at the cut.
+PINNED_MIXED_CUT = [
+    ("dropped", "c0", 4.0), ("dropped", "c1", 4.0), ("dropped", "x2", 4.0),
+    ("dropped", "y0", 4.0), ("dropped", "x0", 4.0), ("dropped", "x1", 4.0)]
+
+#: The same for a cut of a window round whose first member has arrived:
+#: the control hops drop before the arrived member is delivered, late but
+#: stamped with its analytic arrival.
+PINNED_BATCH_CUT = [
+    ("delivered", "c0", 25.16, 25.16), ("dropped", "c1", 35.0),
+    ("dropped", "c2", 35.0), ("delivered", "w0", 35.0, 30.0),
+    ("dropped", "w1", 35.0), ("dropped", "w2", 35.0), ("dropped", "w3", 35.0)]
+
+
+def _logged_pair(latency):
+    loop, net = make_chain("a", "b", latency=latency)
+    for name in ("a", "b"):
+        net.host(name).register_handler("ctl", lambda m: None)
+    log = []
+
+    def callbacks(label):
+        return (lambda r: log.append(("delivered", label, loop.now,
+                                      r.delivered_at)),
+                lambda r: log.append(("dropped", label, loop.now)))
+
+    def send(label, source, destination, protocol, size):
+        net.send(source, destination, protocol, None, size,
+                 *callbacks(label))
+
+    return loop, net, log, callbacks, send
+
+
+def test_mixed_lane_hard_cut_drops_in_the_pinned_order():
+    """A hard cut of a link carrying control hops, booked bulk hops and a
+    queued bulk job drops them in the same order and at the same instant
+    as before the lanes shared one table."""
+    loop, net, log, _, send = _logged_pair(latency=20.0)
+    link = net.link_between("a", "b")
+    loop.call_at(0.0, send, "x0", "a", "b", "test.bulk", 1_250)
+    loop.call_at(0.5, send, "c0", "a", "b", "ctl", 200)
+    loop.call_at(2.0, send, "x1", "a", "b", "test.bulk", 1_250)
+    loop.call_at(2.5, send, "y0", "b", "a", "test.bulk", 12_500)
+    loop.call_at(3.0, send, "c1", "b", "a", "ctl", 300)
+    loop.call_at(3.8, send, "x2", "a", "b", "test.bulk", 2_500)
+    loop.run(until=3.9)
+    # Both lanes are booked on the link (x0, c0, c1, then x1, which
+    # contention pulled back and booked again), and two jobs queue.
+    assert [hop.flow is None for hop in link._flying] == \
+        [False, True, True, False]
+    assert link.bulk_queue_depth() == 2
+    loop.call_at(4.0, net.disconnect, "a", "b", True)
+    loop.run()
+    assert log == PINNED_MIXED_CUT
+    assert not link._flying
+    assert net.bytes_on_wire == net.bytes_off_wire
+
+
+def test_hard_cut_of_a_window_round_drops_control_hops_first():
+    loop, net, log, callbacks, send = _logged_pair(latency=20.0)
+    link = net.link_between("a", "b")
+
+    def window():
+        chunks = [(None, 12_500) + callbacks(f"w{k}") for k in range(4)]
+        assert net.send_window("a", "b", "test.bulk", chunks) is not None
+
+    loop.call_at(0.0, window)
+    loop.call_at(5.0, send, "c0", "a", "b", "ctl", 200)
+    loop.call_at(15.0, send, "c1", "b", "a", "ctl", 300)
+    loop.call_at(33.0, send, "c2", "a", "b", "ctl", 400)
+    loop.call_at(35.0, net.disconnect, "a", "b", True)
+    loop.run()
+    assert log == PINNED_BATCH_CUT
+    assert not link._flying and not link._batches
     assert net.bytes_on_wire == net.bytes_off_wire

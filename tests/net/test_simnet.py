@@ -338,12 +338,13 @@ def test_delivered_control_message_is_released_at_once(names):
     assert receipt.delivered and receipt.hops == len(names) - 1
     del receipt
     assert alive() is None  # no gc.collect(): nothing holds it any more
-    assert net._in_flight == {}
+    assert all(not link._flying for link in net.links)
 
 
 def test_hard_cut_drops_the_cut_links_messages_in_send_order():
     loop, net = make_chain("a", "b", "c", latency=2.0)
     net.host("b").register_handler("t", lambda m: None)
+    links = net.links
     sent, drops = {}, []
 
     def send_at(at, source, destination):
@@ -364,7 +365,7 @@ def test_hard_cut_drops_the_cut_links_messages_in_send_order():
         [(id(sent[at]), 3.0) for at in (2.6, 2.7, 2.8)]
     for at in (0.0, 0.5, 2.9):
         assert sent[at].delivered and not sent[at].dropped
-    assert net._in_flight == {}
+    assert all(not link._flying for link in links)
 
 
 def test_hard_cut_after_reconnect_drops_only_the_new_links_messages():
@@ -373,15 +374,16 @@ def test_hard_cut_after_reconnect_drops_only_the_new_links_messages():
     drops = []
     straggler = net.send("h1", "h2", "t", None, 0, on_dropped=drops.append)
     loop.run(until=1.0)
+    old = net.link_between("h1", "h2")
     net.disconnect("h1", "h2")  # graceful: the straggler still drains
-    net.connect("h1", "h2", latency_ms=5.0)
+    new = net.connect("h1", "h2", latency_ms=5.0)
     fresh = net.send("h1", "h2", "t", None, 0, on_dropped=drops.append)
     loop.run(until=2.0)
     net.disconnect("h1", "h2", drop_in_flight=True)
     loop.run()
     assert len(drops) == 1 and drops[0] is fresh
     assert straggler.delivered and straggler.delivered_at == 5.0
-    assert net._in_flight == {}
+    assert not old._flying and not new._flying
 
 
 def test_same_instant_burst_keeps_exactly_the_undelivered_receipts():
@@ -390,7 +392,7 @@ def test_same_instant_burst_keeps_exactly_the_undelivered_receipts():
     receipts = [net.send("h1", "h2", "t", None, 64) for _ in range(1600)]
 
     def tabled():
-        return {id(entry[2]) for entry in net._in_flight.values()}
+        return {id(hop.receipt) for link in net.links for hop in link._flying}
 
     def undelivered():
         return {id(r) for r in receipts if not (r.delivered or r.dropped)}
@@ -400,7 +402,7 @@ def test_same_instant_burst_keeps_exactly_the_undelivered_receipts():
     while loop.step():
         assert tabled() == undelivered()
     assert all(r.delivered or r.dropped for r in receipts)
-    assert net._in_flight == {}
+    assert all(not link._flying for link in net.links)
 
 
 def test_forward_delay_applies_per_relay_hop():
